@@ -7,12 +7,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
+from operator import sub
 from typing import Iterable, Sequence
 
 from .combinatorics import subsets
-from .dilworth import TruncatedDual, greedy_marginals
-from .game import Game, RateVector, in_core
+from .dilworth import TruncatedDual, dilworth_truncate, greedy_marginals
+from .game import Game, RateVector
 from .rationals import format_rational
 
 
@@ -66,7 +67,7 @@ def shapley(trunc: TruncatedDual) -> Allocation:
             weight = fact[n - size - 1] * fact[size] / total
             acc += weight * (trunc.values[x | bit] - trunc.values[x])
         rates.append(acc)
-    return Allocation(RateVector(tuple(rates)), "shapley", None, _jain_or_none(tuple(rates)))
+    return Allocation(RateVector(tuple(rates)), "shapley", None, jain_or_none(tuple(rates)))
 
 
 def greedy_vertex(trunc: TruncatedDual, order: Sequence[int]) -> Allocation:
@@ -77,7 +78,7 @@ def greedy_vertex(trunc: TruncatedDual, order: Sequence[int]) -> Allocation:
         raise ValueError(f"order {order!r} is not a permutation of 0..{n - 1}")
     order = tuple(order)
     rates = greedy_marginals(trunc.values, order)
-    return Allocation(RateVector(rates), "greedy", order, _jain_or_none(rates))
+    return Allocation(RateVector(rates), "greedy", order, jain_or_none(rates))
 
 
 def greedy_vertices(
@@ -115,7 +116,7 @@ def greedy_vertices(
         if rates in seen:
             continue
         seen.add(rates)
-        out.append(Allocation(RateVector(rates), "greedy", tuple(order), _jain_or_none(rates)))
+        out.append(Allocation(RateVector(rates), "greedy", tuple(order), jain_or_none(rates)))
     return out, partial
 
 
@@ -123,9 +124,26 @@ def enumerate_integer_core(game: Game) -> list[RateVector]:
     """Every integer rate vector in the core, in ascending lexicographic order.
 
     Only defined when alpha and all dual values are integers (packet-style
-    models); refuses otherwise. Each candidate is boxed by the singleton dual
-    bounds r_i <= f#({i}) and the exact sum, then filtered through the full
-    core test.
+    models); refuses otherwise.
+
+    Method: a depth-first walk fixes users 0, 1, ... in index order, trying
+    values in ascending order, against the Dilworth-truncated dual g. Every
+    core vector r satisfies r(X) <= g(X) and r(X) >= p(X) = g(V) - g(V\\X)
+    for all X, and the core is empty unless g(V) = alpha. With the prefix
+    sums s(Y) kept for every Y among the users already fixed, user i may
+    take the integers in [max_Y p(Y+i) - s(Y), min_Y g(Y+i) - s(Y)], clipped
+    at zero; the last user takes the remainder alpha - s, whose constraints
+    follow from the earlier ones by complementation.
+
+    No dead ends: for a polymatroid entropy (every validated model) the core
+    is the base polyhedron of g, and its projection onto each prefix of users
+    is exactly the integral g-polymatroid cut out by those bounds (Frank &
+    Tardos). So each interval is nonempty, each value in it extends to a core
+    vector, every leaf is an output, and no per-leaf core test is made.
+
+    Cost: one 3^n truncation, then O(n * 2^n) integer operations per output
+    vector. Tables that are not polymatroids get the same exact answer, but
+    the walk can then meet empty intervals.
     """
     if game.alpha.denominator != 1:
         raise IntegralityError(
@@ -136,49 +154,60 @@ def enumerate_integer_core(game: Game) -> list[RateVector]:
             "integer-rate enumeration needs integer entropies; "
             "this model has fractional values"
         )
-    n = game.model.n
-    alpha = int(game.alpha)
-    bounds = []
-    for i in range(n):
-        b = game.dual_value(1 << i)
-        bounds.append(min(int(b), alpha))
-    if any(b < 0 for b in bounds):
+    trunc = dilworth_truncate(game)
+    if not trunc.core_nonempty:
         return []
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_max[i] = suffix_max[i + 1] + bounds[i]
-
+    full = game.full_mask
+    last = 1 << (game.model.n - 1)
+    g = [int(trunc.values[x]) for x in range(full + 1)]
+    alpha = g[full]
+    lower = [alpha - g[full ^ x] for x in range(full + 1)]
+    # s[Y] = r(Y) for every Y among the users fixed so far; the masks of
+    # "Y plus user i" for Y within users 0..i-1 are the slice [bit, 2*bit).
+    s = [0] * (full + 1)
+    # every entry of an output vector lies in 0..alpha
+    as_fraction = [Fraction(v) for v in range(alpha + 1)]
     out: list[RateVector] = []
     stack: list[int] = []
 
-    def walk(i: int, remaining: int) -> None:
-        if i == n:
-            r = RateVector.of(stack)
-            if in_core(game, r, integer_mode=True):
-                out.append(r)
+    def walk(bit: int) -> None:
+        if bit == last:
+            v = alpha - s[bit - 1]
+            if v >= 0:
+                rates = tuple(map(as_fraction.__getitem__, stack)) + (as_fraction[v],)
+                out.append(RateVector(rates))
             return
-        lo = max(0, remaining - suffix_max[i + 1])
-        hi = min(bounds[i], remaining)
+        prefix = s[:bit]
+        lo = max(0, max(map(sub, lower[bit : 2 * bit], prefix)))
+        hi = min(map(sub, g[bit : 2 * bit], prefix))
         for v in range(lo, hi + 1):
+            s[bit : 2 * bit] = [y + v for y in prefix]
             stack.append(v)
-            walk(i + 1, remaining - v)
+            walk(bit << 1)
             stack.pop()
 
-    walk(0, alpha)
+    walk(1)
     return out
 
 
 def jain_index(r: Iterable[Fraction] | RateVector) -> Fraction:
-    """Jain fairness of a rate vector: (sum r)^2 / (n * sum r^2), 1 = uniform."""
-    rates = tuple(Fraction(x) for x in r)
-    square_sum = sum((x * x for x in rates), Fraction(0))
+    """Jain fairness of a rate vector: (sum r)^2 / (n * sum r^2), 1 = uniform.
+
+    Exact: the rates are scaled to integers over their common denominator,
+    which cancels from the ratio.
+    """
+    rates = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r]
+    scale = lcm(*(x.denominator for x in rates))
+    scaled = [x.numerator * (scale // x.denominator) for x in rates]
+    square_sum = sum(a * a for a in scaled)
     if square_sum == 0:
         raise ValueError("Jain index is undefined for the all-zero vector")
-    total = sum(rates, Fraction(0))
-    return total * total / (Fraction(len(rates)) * square_sum)
+    total = sum(scaled)
+    return Fraction(total * total, len(scaled) * square_sum)
 
 
-def _jain_or_none(rates: tuple[Fraction, ...]) -> Fraction | None:
+def jain_or_none(rates: Sequence[Fraction] | RateVector) -> Fraction | None:
+    """Jain index, or None for the all-zero vector (where it is undefined)."""
     return jain_index(rates) if any(x != 0 for x in rates) else None
 
 

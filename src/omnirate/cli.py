@@ -34,7 +34,7 @@ from .allocation import (
     fairness_compare,
     greedy_vertex,
     greedy_vertices,
-    jain_index,
+    jain_or_none,
     shapley,
 )
 from .combinatorics import Partition, subsets
@@ -100,6 +100,22 @@ def _allocation_json(model: SourceModel, alloc: Allocation) -> dict:
     }
 
 
+def _check_user_guard(model: SourceModel) -> None:
+    text = os.environ.get("OMNI_MAX_USERS")
+    try:
+        guard = DEFAULT_MAX_USERS if text is None else int(text)
+    except ValueError:
+        raise CliError(
+            EXIT_INPUT, f"OMNI_MAX_USERS must be an integer, got {text!r}"
+        ) from None
+    if model.n > guard:
+        raise CliError(
+            EXIT_INAPPLICABLE,
+            f"model has {model.n} users, above the OMNI_MAX_USERS guard ({guard}); "
+            "the algorithms here are exponential by design",
+        )
+
+
 def _load(args) -> SourceModel:
     try:
         model = load_model(args.model, validate=True)
@@ -107,13 +123,7 @@ def _load(args) -> SourceModel:
         raise CliError(EXIT_INVALID_MODEL, str(exc)) from exc
     except ModelFormatError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    guard = int(os.environ.get("OMNI_MAX_USERS", DEFAULT_MAX_USERS))
-    if model.n > guard:
-        raise CliError(
-            EXIT_INAPPLICABLE,
-            f"model has {model.n} users, above the OMNI_MAX_USERS guard ({guard}); "
-            "the algorithms here are exponential by design",
-        )
+    _check_user_guard(model)
     return model
 
 
@@ -177,12 +187,7 @@ def cmd_validate(args) -> tuple[dict, int]:
         model = load_model(args.model, validate=False)
     except ModelFormatError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    guard = int(os.environ.get("OMNI_MAX_USERS", DEFAULT_MAX_USERS))
-    if model.n > guard:
-        raise CliError(
-            EXIT_INAPPLICABLE,
-            f"model has {model.n} users, above the OMNI_MAX_USERS guard ({guard})",
-        )
+    _check_user_guard(model)
     report = validate_polymatroid(model)
     out = _report("validate", model, _echo_inputs(args))
     out["results"] = {
@@ -321,15 +326,7 @@ def cmd_allocate(args) -> tuple[dict, int]:
         except IntegralityError as exc:
             raise CliError(EXIT_INAPPLICABLE, str(exc)) from exc
         out["results"]["allocations"] = [
-            _allocation_json(
-                model,
-                Allocation(
-                    r,
-                    "enumerated",
-                    None,
-                    jain_index(r) if any(x != 0 for x in r) else None,
-                ),
-            )
+            _allocation_json(model, Allocation(r, "enumerated", None, jain_or_none(r)))
             for r in vectors
         ]
         out["results"]["count"] = len(vectors)

@@ -3,6 +3,10 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import omnirate.game
 
 from omnirate import (
     Allocation,
@@ -172,14 +176,33 @@ def test_integer_core_refusals(example1):
 
 
 def test_integer_core_matches_unbounded_brute_force():
-    rng = random.Random(97)
-    for _ in range(20):
-        model = random_packet_model(rng, n_users=rng.randint(2, 4))
-        alpha = min_sum_rate_non_asymptotic(model).r_co
-        game = Game(model, alpha)
-        got = [tuple(int(x) for x in r) for r in enumerate_integer_core(game)]
-        assert got == brute_integer_core(game)
-        assert got, "integer core must be nonempty at the integer minimum sum-rate"
+    # alphas below the integer minimum give empty cores, which must come back
+    # as []; alphas at or above it give nonempty cores, listed in brute-force
+    # (ascending lexicographic) order
+    rng = random.Random(103)
+    cases = 0
+    for n in range(2, 6):
+        for _ in range(12):
+            model = random_packet_model(rng, n_users=n, max_packets=6)
+            top = int(min_sum_rate_non_asymptotic(model).r_co)
+            for alpha in range(max(0, top - 2), top + 3):
+                game = Game(model, alpha)
+                got = [tuple(int(x) for x in r) for r in enumerate_integer_core(game)]
+                assert got == brute_integer_core(game), (model.packet_sets, alpha)
+                assert bool(got) == (alpha >= top)
+                cases += 1
+    assert cases > 200
+
+
+def test_integer_core_makes_no_core_test(example1, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerate_integer_core called in_core")
+
+    monkeypatch.setattr(omnirate.game, "in_core", forbidden)
+    got = enumerate_integer_core(Game(example1, 5))
+    assert [tuple(int(x) for x in r) for r in got] == [
+        (1, 2, 2), (2, 1, 2), (2, 2, 1), (3, 0, 2), (3, 1, 1), (3, 2, 0), (4, 0, 1), (4, 1, 0)
+    ]
 
 
 def test_jain_index_values():
@@ -188,6 +211,20 @@ def test_jain_index_values():
     assert jain_index([F(3), F(0), F(1)]) == F(8, 15)
     with pytest.raises(ValueError):
         jain_index([F(0), F(0)])
+
+
+_rates = st.lists(
+    st.fractions(min_value=0, max_value=50, max_denominator=12), min_size=1, max_size=8
+).filter(lambda xs: any(xs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rates)
+def test_jain_index_matches_fraction_formula(rates):
+    total = sum(rates, F(0))
+    square_sum = sum((x * x for x in rates), F(0))
+    assert jain_index(rates) == total * total / (len(rates) * square_sum)
+    assert jain_index(RateVector(tuple(rates))) == jain_index(rates)
 
 
 def test_fairness_compare_ranks_by_jain(example1):

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 from fractions import Fraction
+
+import pytest
 
 from omnirate.cli import run
 
@@ -140,6 +143,24 @@ def test_allocate_enumerate(example1_path):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("alpha", ["4", "5"])
+def test_allocate_enumerate_golden(example1_path, alpha):
+    # Reports must not change by a single byte: results and certificates of
+    # the JSON report (timing and the echoed path vary) and the whole CSV.
+    golden = os.path.join(os.path.dirname(example1_path), "golden")
+    stem = os.path.join(golden, f"allocate_enumerate_alpha{alpha}")
+    argv = ("allocate", example1_path, "--alpha", alpha, "--method", "enumerate")
+    code, report, _, _ = cli(*argv)
+    assert code == 0
+    pinned = {"results": report["results"], "certificates": report["certificates"]}
+    with open(stem + ".json", encoding="utf-8") as fh:
+        assert json.dumps(pinned, indent=2) + "\n" == fh.read()
+    code, _, text, _ = cli(*argv, "--format", "csv")
+    assert code == 0
+    with open(stem + ".csv", encoding="utf-8", newline="") as fh:
+        assert text == fh.read()
+
+
 def test_allocate_greedy_with_order(example1_path):
     code, report, _, _ = cli(
         "allocate", example1_path, "--alpha", "4", "--method", "greedy", "--order", "1,2,3"
@@ -259,6 +280,15 @@ def test_user_guard(example1_path, monkeypatch):
     code, _, _, err = cli("minrate", example1_path)
     assert code == 4
     assert "OMNI_MAX_USERS" in err
+
+
+@pytest.mark.parametrize("command", ["minrate", "validate"])
+def test_user_guard_rejects_non_integer(example1_path, monkeypatch, command):
+    monkeypatch.setenv("OMNI_MAX_USERS", "abc")
+    code, report, _, err = cli(command, example1_path)
+    assert code == 1
+    assert report is None
+    assert err.startswith("error: OMNI_MAX_USERS")
 
 
 def test_usage_errors_exit_one(example1_path):
