@@ -25,18 +25,15 @@ from .combinatorics import (
     mask_of,
     min_partition_sum,
     partition_min_table,
-    partitions,
     subsets,
 )
 from .dilworth import (
     ConvexCharacteristic,
-    CoreComparison,
     ModularityCheck,
     TruncatedDual,
     check_submodular,
     check_supermodular,
     convex_characteristic,
-    cores_equal,
     dilworth_truncate,
     greedy_marginals,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "Allocation",
     "ASYMPTOTIC",
     "ConvexCharacteristic",
-    "CoreComparison",
     "CoreEmptyError",
     "Decision",
     "EntropyTable",
@@ -110,7 +106,6 @@ __all__ = [
     "check_supermodular",
     "convex_characteristic",
     "core_nonempty",
-    "cores_equal",
     "dilworth_truncate",
     "dual_membership",
     "enumerate_integer_core",
@@ -131,7 +126,6 @@ __all__ = [
     "model_from_dict",
     "parse_rational",
     "partition_min_table",
-    "partitions",
     "satisfies_slepian_wolf",
     "shapley",
     "subsets",

@@ -10,20 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .combinatorics import Partition, partition_min_table, subsets
-from .game import Game, RateVector, in_core
+from .combinatorics import partition_min_table, subsets
+from .game import Game
 
 
 @dataclass(frozen=True)
 class TruncatedDual:
-    """Full truncation table of the dual function, with argmin partitions."""
+    """Full truncation table of the dual function."""
 
     alpha: Fraction
     ground: int
     values: Mapping[int, Fraction]
-    argmin: Mapping[int, Partition]
 
     def value(self, mask: int) -> Fraction:
         return self.values[mask]
@@ -48,14 +47,12 @@ class ConvexCharacteristic:
 
 
 def dilworth_truncate(game: Game) -> TruncatedDual:
-    """Truncate the game's dual on every subset (one shared DP pass)."""
-    table = game.dual_table()
-    dp = partition_min_table(game.full_mask, table.__getitem__)
+    """Truncate the game's dual on every subset (one engine pass on its ints)."""
+    dual, den = game.dual_ints()
+    width = game.model.n + 1
+    table = partition_min_table(game.full_mask, dual)
     return TruncatedDual(
-        game.alpha,
-        game.full_mask,
-        {x: v for x, (v, _) in dp.items()},
-        {x: p for x, (_, p) in dp.items()},
+        game.alpha, game.full_mask, {x: Fraction(v // width, den) for x, v in enumerate(table)}
     )
 
 
@@ -122,62 +119,3 @@ def greedy_marginals(
         rates[i] = cur - prev
         prev = cur
     return tuple(rates)
-
-
-@dataclass(frozen=True)
-class CoreComparison:
-    """Outcome of checking that truncation preserved the core."""
-
-    applicable: bool  # False when alpha is below the minimum sum-rate
-    equal: bool
-    mismatches: tuple[RateVector, ...]
-    vertices_checked: int
-    vertex_failures: tuple[RateVector, ...]
-
-    def __bool__(self) -> bool:
-        return self.applicable and self.equal and not self.vertex_failures
-
-
-def cores_equal(
-    game: Game, trunc: TruncatedDual, samples: Iterable[RateVector]
-) -> CoreComparison:
-    """Check B(f#, <=) and B(truncated f#, <=) agree on the given samples.
-
-    Every sample must satisfy r(V) = alpha. On small ground sets (|V| <= 4)
-    additionally enumerates all greedy vertices of the truncation and
-    confirms each one lies in the original core.
-    """
-    if not trunc.core_nonempty:
-        return CoreComparison(False, False, (), 0, ())
-    full = game.full_mask
-    mismatches = []
-    for r in samples:
-        if r.total() != game.alpha:
-            raise ValueError("sample rate vector does not sum to alpha")
-        member_orig = all(
-            r.sum_over(x) <= game.dual_value(x) for x in subsets(full, nonempty=True)
-        )
-        member_trunc = all(
-            r.sum_over(x) <= trunc.values[x] for x in subsets(full, nonempty=True)
-        )
-        if member_orig != member_trunc:
-            mismatches.append(r)
-    vertices_checked = 0
-    vertex_failures = []
-    n = full.bit_count()
-    if n <= 4:
-        from itertools import permutations
-
-        seen = set()
-        for order in permutations(range(n)):
-            rates = greedy_marginals(trunc.values, order)
-            if rates in seen:
-                continue
-            seen.add(rates)
-            vertices_checked += 1
-            vertex = RateVector(rates)
-            if not in_core(game, vertex):
-                vertex_failures.append(vertex)
-    return CoreComparison(
-        True, not mismatches, tuple(mismatches), vertices_checked, tuple(vertex_failures)
-    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .combinatorics import bits, subsets
@@ -61,7 +62,7 @@ class Game:
             raise ValueError(f"alpha must be nonnegative, got {format_rational(alpha)}")
         self.model = model
         self.alpha = alpha
-        self._h_total = model.entropy(model.full_mask)
+        self._h, self._h_den = model.entropy_table
 
     @property
     def full_mask(self) -> int:
@@ -74,15 +75,27 @@ class Game:
             return self.alpha
         if mask == 0:
             return Fraction(0)
-        return self._h_total - self.model.entropy(self.full_mask & ~mask)
+        h = self._h
+        return Fraction(h[self.full_mask] - h[self.full_mask & ~mask], self._h_den)
 
     def dual_value(self, mask: int) -> Fraction:
         if mask < 0 or mask & ~self.full_mask:
             raise ValueError(f"mask {mask:#b} is not a subset of the user set")
         return self.alpha - self.char_value(self.full_mask & ~mask)
 
+    def dual_ints(self) -> tuple[list[int], int]:
+        """The dual on every subset as ints over one denominator: f#(X) =
+        d[X] / den, with f#(X) = alpha - H(V) + H(X) for nonempty X, f#(empty) = 0."""
+        den = lcm(self._h_den, self.alpha.denominator)
+        scale = den // self._h_den
+        h_total = self._h[self.full_mask]
+        dual = [int(self.alpha * den) - (h_total - h) * scale for h in self._h]
+        dual[0] = 0
+        return dual, den
+
     def dual_table(self) -> dict[int, Fraction]:
-        return {x: self.dual_value(x) for x in subsets(self.full_mask)}
+        dual, den = self.dual_ints()
+        return {x: Fraction(v, den) for x, v in enumerate(dual)}
 
 
 @dataclass(frozen=True)

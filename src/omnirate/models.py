@@ -31,6 +31,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import bits, subsets
@@ -96,9 +98,17 @@ class SourceModel:
         """H(Z_X | Z_Y) = H(Z_{X union Y}) - H(Z_Y)."""
         return self.entropy(x | y) - self.entropy(y)
 
+    @cached_property
+    def entropy_table(self) -> tuple[list[int], int]:
+        """H on every subset as (h, den): H(X) = h[X] / den, one common
+        denominator, ``h`` indexed by mask. Built once; do not mutate it."""
+        values = [self.entropy(x) for x in range(self.full_mask + 1)]
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+
     def is_integral(self) -> bool:
         """True when every subset entropy is an integer."""
-        return all(self.entropy(x).denominator == 1 for x in subsets(self.full_mask))
+        return self.entropy_table[1] == 1
 
 
 class PacketModel(SourceModel):
@@ -124,6 +134,14 @@ class PacketModel(SourceModel):
         for i in bits(mask):
             union |= self._packet_masks[i]
         return Fraction(union.bit_count())
+
+    @cached_property
+    def entropy_table(self) -> tuple[list[int], int]:
+        # subset-union DP: the masks with user i are those without it, plus i
+        unions = [0]
+        for held in self._packet_masks:
+            unions += [u | held for u in unions]
+        return [u.bit_count() for u in unions], 1
 
 
 class EntropyTable(SourceModel):
@@ -258,7 +276,7 @@ def model_from_dict(obj: object) -> SourceModel:
             if not isinstance(entry, dict) or "set" not in entry or "H" not in entry:
                 raise ModelFormatError(f"bad entropy entry: {entry!r}")
             ids = entry["set"]
-            if not isinstance(ids, list):
+            if not isinstance(ids, list) or not all(isinstance(u, str) for u in ids):
                 raise ModelFormatError(f"bad subset in entry: {entry!r}")
             mask = 0
             for u in ids:

@@ -30,4 +30,4 @@ def parse_rational(value: int | str) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Lowest-terms "p/q" string ("4" when the denominator is 1)."""
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))

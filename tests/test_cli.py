@@ -161,6 +161,71 @@ def test_allocate_enumerate_golden(example1_path, alpha):
         assert text == fh.read()
 
 
+# Reports that read R_CO, MMI or a partition minimum, per model: each case is
+# (label, argv after the model path). Alphas sit at R_CO (the boundary, where
+# ties are widest), above it, and below it (the core-empty exits).
+REPORT_GOLDEN_CASES = {
+    "example1": [
+        ("minrate asymptotic", ("minrate", "--mode", "asymptotic")),
+        ("minrate integer", ("minrate", "--mode", "integer")),
+        ("core at R_CO", ("core", "--alpha", "7/2")),
+        ("core above R_CO", ("core", "--alpha", "4")),
+        ("core below R_CO", ("core", "--alpha", "3")),
+        ("shapley above R_CO", ("allocate", "--alpha", "4", "--method", "shapley")),
+        ("shapley below R_CO", ("allocate", "--alpha", "3", "--method", "shapley")),
+    ],
+    # three users holding the same packets: R_CO = 0 and every proper
+    # partition ties, so the certificates show the tie rule alone
+    "identical_users": [
+        ("minrate asymptotic", ("minrate", "--mode", "asymptotic")),
+        ("minrate integer", ("minrate", "--mode", "integer")),
+        ("core at R_CO", ("core", "--alpha", "0")),
+        ("core above R_CO", ("core", "--alpha", "1")),
+        ("shapley at R_CO", ("allocate", "--alpha", "0", "--method", "shapley")),
+    ],
+    # seeded 8 users, 40 packets: R_CO = 193/7
+    "packets_n8": [
+        ("minrate asymptotic", ("minrate", "--mode", "asymptotic")),
+        ("minrate integer", ("minrate", "--mode", "integer")),
+        ("core at R_CO", ("core", "--alpha", "193/7")),
+        ("core below R_CO", ("core", "--alpha", "27")),
+        ("shapley above R_CO", ("allocate", "--alpha", "28", "--method", "shapley")),
+        ("shapley below R_CO", ("allocate", "--alpha", "27", "--method", "shapley")),
+    ],
+    # seeded fractional 6-user entropy table: R_CO = 117/4
+    "entropy_n6": [
+        ("minrate asymptotic", ("minrate", "--mode", "asymptotic")),
+        ("minrate integer", ("minrate", "--mode", "integer")),
+        ("core at R_CO", ("core", "--alpha", "117/4")),
+        ("core below R_CO", ("core", "--alpha", "29")),
+        ("shapley at R_CO", ("allocate", "--alpha", "117/4", "--method", "shapley")),
+        ("shapley below R_CO", ("allocate", "--alpha", "29", "--method", "shapley")),
+    ],
+}
+
+
+def golden_reports_text(data_dir: str, model: str) -> str:
+    """Exit code, results and certificates of every case, as pinned on disk."""
+    path = os.path.join(data_dir, model + ".json")
+    pinned = {}
+    for label, (command, *rest) in REPORT_GOLDEN_CASES[model]:
+        code, report, _, _ = cli(command, path, *rest)
+        pinned[label] = {
+            "exit": code,
+            "results": report["results"],
+            "certificates": report["certificates"],
+        }
+    return json.dumps(pinned, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("model", sorted(REPORT_GOLDEN_CASES))
+def test_report_golden(example1_path, model):
+    # minrate, core and allocate reports must not change by a single byte
+    data_dir = os.path.dirname(example1_path)
+    with open(os.path.join(data_dir, "golden", f"reports_{model}.json"), encoding="utf-8") as fh:
+        assert golden_reports_text(data_dir, model) == fh.read()
+
+
 def test_allocate_greedy_with_order(example1_path):
     code, report, _, _ = cli(
         "allocate", example1_path, "--alpha", "4", "--method", "greedy", "--order", "1,2,3"
@@ -304,3 +369,19 @@ def test_rationals_in_reports_are_lowest_terms(example1_path):
     _, report, _, _ = cli("core", example1_path, "--alpha", "14/4", "--rates", "5/2,2/4,1/2")
     assert report["results"]["alpha"]["rational"] == "7/2"
     assert report["results"]["rates"]["rational"] == ["5/2", "1/2", "1/2"]
+
+
+@pytest.mark.parametrize("bad_id", [["1"], {"1": "2"}])
+def test_non_string_ids_in_entry_set_exit_one(tmp_path, bad_id):
+    obj = {
+        "type": "entropy",
+        "users": ["1", "2"],
+        "entries": [{"set": [bad_id], "H": "1"}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    for argv in (("validate", str(path)), ("minrate", str(path))):
+        code, report, _, err = cli(*argv)
+        assert code == 1
+        assert report is None
+        assert err.startswith("error: bad subset in entry")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnirate import Partition, bits, mask_of, min_partition_sum, partitions, subsets
+from omnirate import Partition, bits, mask_of, min_partition_sum, partition_min_table, subsets
+from omnirate.combinatorics import min_partition
 
-from oracles import bell_number, brute_min_partition, set_partitions
+from oracles import bell_number, brute_min_partition, partitions, set_partitions
 
 
 def test_bits_roundtrip():
@@ -151,3 +152,40 @@ def test_oracle_partition_enumerator_agrees_with_library():
             for part in set_partitions(list(range(n)))
         }
         assert lib == ora
+
+
+def _brute_certificate(ground, cost, *, proper=False):
+    # value, then fewer blocks, then the lexicographically smallest block list
+    return min(
+        (sum(cost[b] for b in part.blocks), len(part), part.key(), part)
+        for part in partitions(ground, proper=proper)
+    )
+
+
+def test_engine_matches_brute_force_on_grounds_with_holes():
+    # small cost ranges make ties common, so the tie rule is exercised too
+    rng = random.Random(71)
+    for _ in range(150):
+        ground = rng.randrange(1, 1 << 7)
+        cost = [rng.randint(-3, 3) for _ in range(ground + 1)]
+        width = ground.bit_count() + 1
+        table = partition_min_table(ground, cost)
+        for x in subsets(ground, nonempty=True):
+            assert table[x] // width == brute_min_partition(x, cost.__getitem__)
+        value, blocks, _, part = _brute_certificate(ground, cost)
+        assert divmod(table[ground], width) == (value, blocks)
+        assert min_partition(ground, cost, table) == part
+        if ground.bit_count() >= 2:
+            value, blocks, _, part = _brute_certificate(ground, cost, proper=True)
+            table = partition_min_table(ground, cost, proper=True)
+            assert divmod(table[ground], width) == (value, blocks)
+            assert min_partition(ground, cost, table) == part
+
+
+def test_certificate_compares_blocks_as_index_tuples():
+    # {0,1,3} (mask 0b1011) sorts before {0,2} (mask 0b0101): the partitions
+    # {0,1,3},{2} and {0,2},{1,3} both cost 2, every other partition more
+    cost = [9] * 16
+    cost[0b1011], cost[0b0100], cost[0b0101], cost[0b1010] = 1, 1, 1, 1
+    table = partition_min_table(0b1111, cost)
+    assert min_partition(0b1111, cost, table).blocks == (0b1011, 0b0100)

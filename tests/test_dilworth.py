@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,15 +10,15 @@ from omnirate import (
     check_submodular,
     check_supermodular,
     convex_characteristic,
-    cores_equal,
     dilworth_truncate,
+    min_partition_sum,
     min_sum_rate_asymptotic,
     min_sum_rate_non_asymptotic,
     partition_min_table,
     subsets,
 )
 
-from oracles import random_packet_model, random_rate_vector
+from oracles import cores_equal, random_packet_model, random_rate_vector
 
 F = Fraction
 
@@ -44,11 +45,12 @@ def test_truncation_table_on_example(example1):
 
 
 def test_truncation_argmin_partitions_reproduce_values(example1):
+    # the truncation keeps values only; a minimising partition is rebuilt on demand
     trunc = dilworth_truncate(Game(example1, 4))
     game = Game(example1, 4)
-    for x, part in trunc.argmin.items():
-        if x == 0:
-            continue
+    for x in subsets(example1.full_mask, nonempty=True):
+        value, part = min_partition_sum(x, game.dual_value)
+        assert value == trunc.values[x]
         assert sum((game.dual_value(b) for b in part), F(0)) == trunc.values[x]
 
 
@@ -97,8 +99,11 @@ def test_truncation_is_idempotent():
         r_co = min_sum_rate_asymptotic(model).r_co
         for alpha in (r_co, max(r_co - F(1, 2), F(0)), model.entropy(model.full_mask)):
             trunc = dilworth_truncate(Game(model, alpha))
-            again = partition_min_table(model.full_mask, trunc.values.__getitem__)
-            assert all(again[x][0] == trunc.values[x] for x in trunc.values)
+            den = lcm(*(v.denominator for v in trunc.values.values()))
+            scaled = [int(trunc.values[x] * den) for x in range(model.full_mask + 1)]
+            again = partition_min_table(model.full_mask, scaled)
+            width = model.n + 1
+            assert all(F(again[x] // width, den) == trunc.values[x] for x in trunc.values)
 
 
 def test_truncation_bounds_and_properties_above_threshold():

@@ -18,7 +18,7 @@ from omnirate import (
     validate_polymatroid,
 )
 
-from oracles import random_packet_model
+from oracles import random_entropy_table, random_packet_model
 
 
 def table_of(model) -> dict:
@@ -229,3 +229,24 @@ def test_digest_ignores_packet_order(example1):
         }
     )
     assert model_digest(shuffled) == model_digest(example1)
+
+
+@pytest.mark.parametrize("bad_id", [["1"], {"1": "2"}])
+def test_non_string_ids_in_entry_set_are_a_format_error(bad_id):
+    obj = {
+        "type": "entropy",
+        "users": ["1", "2"],
+        "entries": [{"set": [bad_id], "H": "1"}],
+    }
+    with pytest.raises(ModelFormatError, match="bad subset"):
+        model_from_dict(obj)
+
+
+def test_entropy_table_matches_entropy(example1):
+    rng = random.Random(79)
+    tables = [example1, random_entropy_table(rng, 4), random_packet_model(rng, n_users=5)]
+    for model in tables:
+        h, den = model.entropy_table
+        assert len(h) == model.full_mask + 1
+        assert all(Fraction(h[x], den) == model.entropy(x) for x in subsets(model.full_mask))
+        assert model.is_integral() == (den == 1)

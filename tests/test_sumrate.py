@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 from omnirate import (
@@ -13,11 +14,18 @@ from omnirate import (
     min_sum_rate_asymptotic,
     min_sum_rate_non_asymptotic,
     mmi,
-    partitions,
     upper_base_nonempty,
 )
 
-from oracles import brute_min_sum_rate, brute_mmi, random_packet_model
+from oracles import (
+    brute_min_sum_rate,
+    brute_mmi,
+    partitions,
+    random_entropy_table,
+    random_packet_model,
+    scan_min_sum_rate,
+    scan_mmi,
+)
 
 F = Fraction
 
@@ -181,3 +189,45 @@ def test_min_partition_certificate_on_example(example1):
     value, part = min_partition_sum(example1.full_mask, game.dual_value)
     assert value == 4
     assert part.blocks == (example1.full_mask,)
+
+
+def _bell_scan_cases():
+    rng = random.Random(73)
+    models = [random_packet_model(rng, n_users=n) for n in range(2, 8) for _ in range(6)]
+    models += [
+        PacketModel({str(i): [] for i in range(1, 5)}),  # nobody holds anything
+        PacketModel({"1": ["a", "b"], "2": ["a", "b"]}),
+        PacketModel({str(i): ["a", "b", "c"] for i in range(1, 6)}),
+        PacketModel({"1": ["a", "b"], "2": ["a", "b"], "3": ["c"], "4": ["c"]}),
+    ]
+    models += [random_entropy_table(rng, n) for n in range(3, 7) for _ in range(5)]
+    return models
+
+
+def test_parametric_r_co_matches_bell_scan():
+    # value and certificate, MMI and its partition, all equal to the scans
+    for model in _bell_scan_cases():
+        rep = min_sum_rate_asymptotic(model)
+        assert (rep.r_co, rep.argmax_partition) == scan_min_sum_rate(model)
+        res = mmi(model)
+        assert (res.value, res.partition) == scan_mmi(model)
+        assert res.value == brute_mmi(model)
+        assert rep.r_co == rep.h_total - res.value
+
+
+def test_minrate_at_the_user_guard():
+    # 12 users, 40 packets: the parametric solve needs no partition scan
+    rng = random.Random(12)
+    model = PacketModel(
+        {str(u): [f"p{k}" for k in range(40) if rng.random() < 0.4] for u in range(1, 13)}
+    )
+    started = time.perf_counter()
+    rep = min_sum_rate_asymptotic(model)
+    elapsed = time.perf_counter() - started
+    h = rep.h_total
+    part = rep.argmax_partition
+    ratio = sum((h - model.entropy(c) for c in part), F(0)) / (len(part) - 1)
+    assert ratio == rep.r_co
+    assert core_nonempty(Game(model, rep.r_co))
+    assert not core_nonempty(Game(model, rep.r_co - F(1, 12)))
+    assert elapsed < 2, f"took {elapsed:.2f} s"
