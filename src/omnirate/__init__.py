@@ -29,10 +29,7 @@ from .combinatorics import (
 )
 from .dilworth import (
     ConvexCharacteristic,
-    ModularityCheck,
     TruncatedDual,
-    check_submodular,
-    check_supermodular,
     convex_characteristic,
     dilworth_truncate,
     greedy_marginals,
@@ -89,7 +86,6 @@ __all__ = [
     "InvalidModelError",
     "MmiResult",
     "ModelFormatError",
-    "ModularityCheck",
     "NON_ASYMPTOTIC",
     "NonemptinessCertificate",
     "PacketModel",
@@ -102,8 +98,6 @@ __all__ = [
     "Violation",
     "bits",
     "canonical_model_dict",
-    "check_submodular",
-    "check_supermodular",
     "convex_characteristic",
     "core_nonempty",
     "dilworth_truncate",

@@ -50,23 +50,28 @@ def shapley(trunc: TruncatedDual) -> Allocation:
     """Shapley value of the convex game given by the truncated dual.
 
     Each user's rate is the factorial-weighted sum of marginal contributions
-    over all subsets not containing the user; exact rational arithmetic, cost
-    n * 2^(n-1) table lookups. Refuses when the core is empty, since the
-    fairness guarantee only exists above the minimum sum-rate.
+    over all subsets X not containing the user i,
+    sum |X|!(n-|X|-1)! * (t(X+i) - t(X)) / n!. The truncated values are
+    scaled to integers over one common denominator, the sum runs on ints
+    with the weights precomputed by |X|, and each user's rate is one exact
+    division: n * 2^(n-1) integer terms in all. Refuses when the core is
+    empty, since the fairness guarantee only exists above the minimum
+    sum-rate.
     """
     _require_nonempty(trunc)
     n = trunc.ground.bit_count()
-    fact = [Fraction(factorial(k)) for k in range(n + 1)]
-    total = fact[n]
+    values = [trunc.values[x] for x in range(trunc.ground + 1)]
+    den = lcm(*(v.denominator for v in values))
+    t = [v.numerator * (den // v.denominator) for v in values]
+    weight = [factorial(k) * factorial(n - k - 1) for k in range(n)]
+    total = factorial(n) * den
     rates = []
     for i in range(n):
         bit = 1 << i
-        acc = Fraction(0)
+        acc = 0
         for x in subsets(trunc.ground & ~bit):
-            size = x.bit_count()
-            weight = fact[n - size - 1] * fact[size] / total
-            acc += weight * (trunc.values[x | bit] - trunc.values[x])
-        rates.append(acc)
+            acc += weight[x.bit_count()] * (t[x | bit] - t[x])
+        rates.append(Fraction(acc, total))
     return Allocation(RateVector(tuple(rates)), "shapley", None, jain_or_none(tuple(rates)))
 
 

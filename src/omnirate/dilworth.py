@@ -69,39 +69,6 @@ def convex_characteristic(trunc: TruncatedDual) -> ConvexCharacteristic:
     return ConvexCharacteristic(trunc.alpha, trunc.ground, values)
 
 
-@dataclass(frozen=True)
-class ModularityCheck:
-    holds: bool
-    witness: tuple[int, int] | None = None  # violating pair (X, Y)
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_submodular(
-    values: Mapping[int, Fraction], ground: int, *, intersecting_only: bool = False
-) -> ModularityCheck:
-    """Exhaustive pair check of g(X)+g(Y) >= g(X|Y)+g(X&Y).
-
-    Comparable pairs hold with equality and are skipped. With
-    ``intersecting_only`` the check is restricted to pairs with X&Y != 0.
-    """
-    for x in subsets(ground, nonempty=True):
-        for y in subsets(ground, nonempty=True):
-            if y >= x or x & ~y == 0 or y & ~x == 0:
-                continue
-            if intersecting_only and x & y == 0:
-                continue
-            if values[x] + values[y] < values[x | y] + values[x & y]:
-                return ModularityCheck(False, (y, x))
-    return ModularityCheck(True)
-
-
-def check_supermodular(values: Mapping[int, Fraction], ground: int) -> ModularityCheck:
-    """Supermodular iff the negated table is submodular."""
-    return check_submodular({x: -v for x, v in values.items()}, ground)
-
-
 def greedy_marginals(
     values: Mapping[int, Fraction], order: Sequence[int]
 ) -> tuple[Fraction, ...]:

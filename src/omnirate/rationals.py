@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+
+# CPython's default int/str conversion limit, for interpreters that set none
+_DEFAULT_MAX_DIGITS = 4300
 
 
 def parse_rational(value: int | str) -> Fraction:
@@ -10,7 +14,11 @@ def parse_rational(value: int | str) -> Fraction:
 
     Accepts ints and strings of the form "p/q" or a decimal like "2.5"
     (converted exactly). Floats are rejected: binary floats would poison
-    the exact equality tests the whole library is built on.
+    the exact equality tests the whole library is built on. So is a string
+    whose exact value needs more digits than Python converts to and from
+    text (``sys.get_int_max_str_digits()``, 4300 by default), checked
+    before the Fraction is built: reports could not print it, and an
+    exponent like "1e999999999" would build a huge int first.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
@@ -21,11 +29,28 @@ def parse_rational(value: int | str) -> Fraction:
             f"float {value!r} rejected; write it as a string like \"{value}\" or \"p/q\""
         )
     if isinstance(value, str):
+        _check_digits(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse rational from {value!r}") from exc
     raise ValueError(f"cannot parse rational from {value!r}")
+
+
+def _check_digits(text: str) -> None:
+    # "p/q" needs no check: Fraction parses each side with int(), which
+    # enforces the limit itself. A decimal's numerator and denominator have
+    # at most (mantissa digits + |exponent| + 1) digits.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DEFAULT_MAX_DIGITS
+    mantissa, _, exponent = text.upper().partition("E")
+    if "/" in mantissa:
+        return
+    try:
+        shift = abs(int(exponent)) if exponent else 0
+    except ValueError as exc:
+        raise ValueError(f"cannot parse rational from {text[:40]!r}") from exc
+    if sum(c.isdigit() for c in mantissa) + shift >= limit:
+        raise ValueError(f"rational {text[:40]!r} has too many digits (limit {limit})")
 
 
 def format_rational(x: Fraction) -> str:

@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, Iterator
+from math import factorial
+from typing import Callable, Iterable, Iterator, Mapping
 
 from omnirate import (
     EntropyTable,
@@ -284,3 +285,53 @@ def cores_equal(
     return CoreComparison(
         True, not mismatches, tuple(mismatches), vertices_checked, tuple(vertex_failures)
     )
+
+
+@dataclass(frozen=True)
+class ModularityCheck:
+    holds: bool
+    witness: tuple[int, int] | None = None  # violating pair (X, Y)
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
+def check_submodular(
+    values: Mapping[int, Fraction], ground: int, *, intersecting_only: bool = False
+) -> ModularityCheck:
+    """Exhaustive pair check of g(X)+g(Y) >= g(X|Y)+g(X&Y).
+
+    Comparable pairs hold with equality and are skipped. With
+    ``intersecting_only`` the check is restricted to pairs with X&Y != 0.
+    """
+    for x in subsets(ground, nonempty=True):
+        for y in subsets(ground, nonempty=True):
+            if y >= x or x & ~y == 0 or y & ~x == 0:
+                continue
+            if intersecting_only and x & y == 0:
+                continue
+            if values[x] + values[y] < values[x | y] + values[x & y]:
+                return ModularityCheck(False, (y, x))
+    return ModularityCheck(True)
+
+
+def check_supermodular(values: Mapping[int, Fraction], ground: int) -> ModularityCheck:
+    """Supermodular iff the negated table is submodular."""
+    return check_submodular({x: -v for x, v in values.items()}, ground)
+
+
+def brute_shapley(trunc: TruncatedDual) -> tuple[Fraction, ...]:
+    """Shapley value of the truncated dual's convex game, one Fraction weight
+    |X|!(n-|X|-1)!/n! and one Fraction product per subset term."""
+    n = trunc.ground.bit_count()
+    fact = [Fraction(factorial(k)) for k in range(n + 1)]
+    rates = []
+    for i in range(n):
+        bit = 1 << i
+        acc = Fraction(0)
+        for x in subsets(trunc.ground & ~bit):
+            size = x.bit_count()
+            weight = fact[n - size - 1] * fact[size] / fact[n]
+            acc += weight * (trunc.values[x | bit] - trunc.values[x])
+        rates.append(acc)
+    return tuple(rates)

@@ -16,8 +16,6 @@ import pytest
 from omnirate import (
     Game,
     RateVector,
-    check_submodular,
-    check_supermodular,
     convex_characteristic,
     core_nonempty,
     dilworth_truncate,
@@ -34,7 +32,13 @@ from omnirate import (
 )
 from omnirate.cli import run as cli_run
 
-from oracles import brute_integer_core, brute_min_partition, random_packet_model
+from oracles import (
+    brute_integer_core,
+    brute_min_partition,
+    check_submodular,
+    check_supermodular,
+    random_packet_model,
+)
 
 F = Fraction
 

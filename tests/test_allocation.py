@@ -29,7 +29,7 @@ from omnirate import (
     shapley,
 )
 
-from oracles import brute_integer_core, random_packet_model
+from oracles import brute_integer_core, brute_shapley, random_entropy_table, random_packet_model
 
 F = Fraction
 
@@ -137,6 +137,18 @@ def test_shapley_is_average_of_greedy_vertices():
             count += 1
         mean = tuple(a / count for a in acc)
         assert tuple(shapley(trunc).rates) == mean
+
+
+def test_shapley_matches_fraction_formula():
+    # the integer sum against the per-term Fraction formula, on packet and
+    # fractional truncations, at R_CO (where ties are widest) and above it
+    rng = random.Random(107)
+    for n in range(2, 8):
+        for model in (random_packet_model(rng, n_users=n), random_entropy_table(rng, n)):
+            r_co = min_sum_rate_asymptotic(model).r_co
+            for alpha in (r_co, r_co + F(1, 3), r_co + 2):
+                trunc = dilworth_truncate(Game(model, alpha))
+                assert tuple(shapley(trunc).rates) == brute_shapley(trunc)
 
 
 def test_shapley_in_core_at_threshold_grid():

@@ -226,6 +226,24 @@ def test_report_golden(example1_path, model):
         assert golden_reports_text(data_dir, model) == fh.read()
 
 
+# Validation reports list every violation with its detail string; one valid
+# fractional table and one with violations of all three kinds.
+VALIDATE_GOLDEN_MODELS = ("entropy_n6", "invalid_entropy_n4")
+
+
+def golden_validate_text(data_dir: str, model: str) -> str:
+    code, report, _, _ = cli("validate", os.path.join(data_dir, model + ".json"))
+    pinned = {"exit": code, "results": report["results"], "certificates": report["certificates"]}
+    return json.dumps(pinned, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("model", VALIDATE_GOLDEN_MODELS)
+def test_validate_golden(example1_path, model):
+    data_dir = os.path.dirname(example1_path)
+    with open(os.path.join(data_dir, "golden", f"validate_{model}.json"), encoding="utf-8") as fh:
+        assert golden_validate_text(data_dir, model) == fh.read()
+
+
 def test_allocate_greedy_with_order(example1_path):
     code, report, _, _ = cli(
         "allocate", example1_path, "--alpha", "4", "--method", "greedy", "--order", "1,2,3"
@@ -385,3 +403,26 @@ def test_non_string_ids_in_entry_set_exit_one(tmp_path, bad_id):
         assert code == 1
         assert report is None
         assert err.startswith("error: bad subset in entry")
+
+
+def test_rationals_beyond_the_digit_limit_exit_one(tmp_path, example1_path):
+    entries = [{"set": [], "H": "0"}, {"set": ["1"], "H": "1"}, {"set": ["2"], "H": "1"}]
+    table = {"type": "entropy", "users": ["1", "2"], "entries": entries}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**table, "entries": entries + [{"set": ["1", "2"], "H": "1e5000"}]}))
+    literal = tmp_path / "literal.json"
+    literal.write_text(
+        json.dumps({**table, "entries": entries + [{"set": ["1", "2"], "H": 2}]}).replace(
+            '"H": 2}', '"H": 1' + "0" * 5000 + "}"
+        )
+    )
+    for argv, message in (
+        (("validate", str(path)), "too many digits"),
+        (("minrate", str(path)), "too many digits"),
+        (("validate", str(literal)), "malformed JSON"),
+        (("core", example1_path, "--alpha", "1e5000"), "bad --alpha"),
+        (("core", example1_path, "--alpha", "4", "--rates", "1e5000,0,0"), "bad --rates"),
+    ):
+        code, report, _, err = cli(*argv)
+        assert (code, report) == (1, None), argv
+        assert err.startswith("error:") and message in err, argv

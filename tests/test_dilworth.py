@@ -7,8 +7,6 @@ import pytest
 from omnirate import (
     Game,
     RateVector,
-    check_submodular,
-    check_supermodular,
     convex_characteristic,
     dilworth_truncate,
     min_partition_sum,
@@ -18,7 +16,13 @@ from omnirate import (
     subsets,
 )
 
-from oracles import cores_equal, random_packet_model, random_rate_vector
+from oracles import (
+    check_submodular,
+    check_supermodular,
+    cores_equal,
+    random_packet_model,
+    random_rate_vector,
+)
 
 F = Fraction
 

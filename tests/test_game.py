@@ -7,14 +7,13 @@ from omnirate import (
     Game,
     PacketModel,
     RateVector,
-    check_submodular,
     dual_membership,
     in_core,
     satisfies_slepian_wolf,
     subsets,
 )
 
-from oracles import random_packet_model, random_rate_vector
+from oracles import check_submodular, random_packet_model, random_rate_vector
 
 F = Fraction
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omnirate import models, rationals
 from omnirate import (
     EntropyTable,
     InvalidModelError,
@@ -14,6 +15,7 @@ from omnirate import (
     load_model,
     model_digest,
     model_from_dict,
+    parse_rational,
     subsets,
     validate_polymatroid,
 )
@@ -102,6 +104,37 @@ def test_missing_entries_are_a_format_error():
 def test_random_packet_models_are_polymatroids(seed):
     model = random_packet_model(random.Random(seed))
     assert validate_polymatroid(model).ok
+
+
+@st.composite
+def perturbed_tables(draw) -> EntropyTable:
+    """A weighted-coverage polymatroid on 2..5 users with up to three entries
+    moved by a step or two: some stay valid, others lose normalization,
+    monotonicity or submodularity, often by a single step."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
+    held = draw(st.lists(st.integers(0, (1 << len(weights)) - 1), min_size=n, max_size=n))
+    values = {}
+    for mask in range(1 << n):
+        covered = 0
+        for i in range(n):
+            if mask >> i & 1:
+                covered |= held[i]
+        values[mask] = sum(w for k, w in enumerate(weights) if covered >> k & 1)
+    moves = st.tuples(st.integers(0, (1 << n) - 1), st.integers(min_value=-2, max_value=2))
+    for mask, step in draw(st.lists(moves, max_size=3)):
+        values[mask] += step
+    den = draw(st.sampled_from((1, 2, 3)))
+    return EntropyTable([str(i + 1) for i in range(n)], {m: Fraction(v, den) for m, v in values.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_tables())
+def test_elementary_check_agrees_with_full_scan(model):
+    # validate_polymatroid runs the full pair scan only when the elementary
+    # check fails, so the two must agree on pass or fail
+    h, _ = model.entropy_table
+    assert models._is_polymatroid(h, model.n) == models._scan_violations(model).ok
 
 
 def test_monotone_and_conditional_nonnegative(example1):
@@ -250,3 +283,40 @@ def test_entropy_table_matches_entropy(example1):
         assert len(h) == model.full_mask + 1
         assert all(Fraction(h[x], den) == model.entropy(x) for x in subsets(model.full_mask))
         assert model.is_integral() == (den == 1)
+
+
+def two_user_table(h12) -> dict:
+    return {
+        "type": "entropy",
+        "users": ["1", "2"],
+        "entries": [
+            {"set": [], "H": "0"},
+            {"set": ["1"], "H": "1"},
+            {"set": ["2"], "H": "1"},
+            {"set": ["1", "2"], "H": h12},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e5000", "1E-5000", "0." + "1" * 5000, "1" * 3000 + "." + "1" * 3000],
+    ids=["1e5000", "1E-5000", "long-fraction-part", "long-mantissa"],
+)
+def test_rationals_beyond_the_digit_limit_are_rejected(text):
+    # such a value parsed, then broke format_rational (and so every report)
+    with pytest.raises(ValueError, match="too many digits"):
+        parse_rational(text)
+    with pytest.raises(ModelFormatError, match="too many digits"):
+        model_from_dict(two_user_table(text))
+    assert parse_rational("1e100") == 10**100
+    assert parse_rational("-2.5e-3") == Fraction(-1, 400)
+
+
+def test_huge_exponent_is_rejected_before_any_fraction_is_built(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Fraction built for an oversized rational")
+
+    monkeypatch.setattr(rationals, "Fraction", forbidden)
+    with pytest.raises(ValueError, match="too many digits"):
+        parse_rational("1e999999999")
