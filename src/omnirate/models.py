@@ -341,7 +341,7 @@ def load_model(path: str, *, validate: bool = True) -> SourceModel:
             obj = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
+    except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
         raise ModelFormatError(f"malformed JSON in {path}: {exc}") from exc
     model = model_from_dict(obj)
     if validate and isinstance(model, EntropyTable):

@@ -405,7 +405,7 @@ def test_non_string_ids_in_entry_set_exit_one(tmp_path, bad_id):
         assert err.startswith("error: bad subset in entry")
 
 
-def test_rationals_beyond_the_digit_limit_exit_one(tmp_path, example1_path):
+def test_oversized_numbers_and_bad_bytes_exit_one(tmp_path, example1_path):
     entries = [{"set": [], "H": "0"}, {"set": ["1"], "H": "1"}, {"set": ["2"], "H": "1"}]
     table = {"type": "entropy", "users": ["1", "2"], "entries": entries}
     path = tmp_path / "big.json"
@@ -416,7 +416,10 @@ def test_rationals_beyond_the_digit_limit_exit_one(tmp_path, example1_path):
             '"H": 2}', '"H": 1' + "0" * 5000 + "}"
         )
     )
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"type": "packets", "users": {"1": ["\xff"], "2": ["b"]}}')
     for argv, message in (
+        (("validate", str(latin)), "malformed JSON"),
         (("validate", str(path)), "too many digits"),
         (("minrate", str(path)), "too many digits"),
         (("validate", str(literal)), "malformed JSON"),

@@ -304,7 +304,7 @@ def two_user_table(h12) -> dict:
     ids=["1e5000", "1E-5000", "long-fraction-part", "long-mantissa"],
 )
 def test_rationals_beyond_the_digit_limit_are_rejected(text):
-    # such a value parsed, then broke format_rational (and so every report)
+    # refused with one message, before any report tries to print the value
     with pytest.raises(ValueError, match="too many digits"):
         parse_rational(text)
     with pytest.raises(ModelFormatError, match="too many digits"):
