@@ -68,7 +68,6 @@ from .sumrate import (
     min_sum_rate_asymptotic,
     min_sum_rate_non_asymptotic,
     mmi,
-    upper_base_nonempty,
 )
 
 __version__ = "0.1.0"
@@ -123,6 +122,5 @@ __all__ = [
     "satisfies_slepian_wolf",
     "shapley",
     "subsets",
-    "upper_base_nonempty",
     "validate_polymatroid",
 ]

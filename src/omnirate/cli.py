@@ -6,7 +6,8 @@ lowest-terms string plus a float convenience value.
 
 Exit codes:
   0  success
-  1  I/O, parse, or usage error (bad file, bad flag values, bad rationals)
+  1  I/O, parse, or usage error (bad file, bad flag values, bad rationals),
+     or a result past the float range or the int/str digit limit
   2  model fails the entropy-function validation
   3  core is empty at the requested sum-rate
   4  inapplicable mode (integer enumeration on a fractional game, size guard)
@@ -159,7 +160,7 @@ def _parse_order(model: SourceModel, text: str) -> tuple[int, ...]:
 
 
 def _report(command: str, model: SourceModel, inputs: dict) -> dict:
-    # timing_ms is filled in by each command just before returning
+    # timing_ms is filled in by run once the command returns
     return {
         "command": command,
         "model_digest": model_digest(model),
@@ -174,14 +175,11 @@ def _echo_inputs(args, **extra) -> dict:
     base = {"model": args.model, "format": args.format}
     if getattr(args, "seed", None) is not None:
         base["seed"] = args.seed
-    if getattr(args, "parallel", None) not in (None, 1):
-        base["parallel"] = args.parallel
     base.update(extra)
     return base
 
 
 def cmd_validate(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     try:
         model = load_model(args.model, validate=False)
     except ModelFormatError as exc:
@@ -203,12 +201,10 @@ def cmd_validate(args) -> tuple[dict, int]:
             for v in report.violations
         ],
     }
-    out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return out, EXIT_OK if report.ok else EXIT_INVALID_MODEL
 
 
 def cmd_minrate(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     model = _load(args)
     if args.mode == "asymptotic":
         rep = min_sum_rate_asymptotic(model)
@@ -231,12 +227,10 @@ def cmd_minrate(args) -> tuple[dict, int]:
         # MMI is minimised by the same partition (I = H(V) - R_CO per partition)
         "mmi_partition": _partition_json(model, rep.argmax_partition),
     }
-    out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return out, EXIT_OK
 
 
 def cmd_core(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     model = _load(args)
     alpha = _parse_alpha(args.alpha)
     game = Game(model, alpha)
@@ -273,12 +267,10 @@ def cmd_core(args) -> tuple[dict, int]:
                 "detail": decision.detail,
             }
         code = EXIT_OK
-    out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return out, code
 
 
 def cmd_allocate(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     model = _load(args)
     alpha = _parse_alpha(args.alpha)
     game = Game(model, alpha)
@@ -331,12 +323,10 @@ def cmd_allocate(args) -> tuple[dict, int]:
         out["results"]["count"] = len(vectors)
         if not vectors:
             code = core_empty_payload()
-    out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return out, code
 
 
 def cmd_polyhedron(args) -> tuple[dict, int]:
-    started = time.perf_counter()
     model = _load(args)
     if model.n > 8:
         raise CliError(
@@ -376,7 +366,6 @@ def cmd_polyhedron(args) -> tuple[dict, int]:
         "vertices": vertices,
         "partial_vertices": partial,
     }
-    out["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return out, EXIT_OK
 
 
@@ -423,13 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("model", help="path to a model JSON file")
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    common.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker hint, reserved; computations run single-process at desk scale",
     )
     common.add_argument(
         "--seed", type=int, default=None, help="seed for sampled join orders (large models)"
@@ -495,14 +477,17 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
         # argparse uses 2 for usage errors, which collides with our
         # invalid-model code; remap to the input-error code.
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    if args.parallel < 1:
-        print("error: --parallel must be >= 1", file=err)
-        return EXIT_INPUT
+    started = time.perf_counter()
     try:
         report, code = COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=err)
         return exc.code
+    except (OverflowError, ValueError) as exc:
+        # a result of valid inputs can pass the int/str digit limit or float range
+        print(f"error: a result cannot be printed: {exc}", file=err)
+        return EXIT_INPUT
+    report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     if args.format == "csv":
         _emit_csv(report, out)
     else:

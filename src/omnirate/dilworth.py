@@ -24,9 +24,6 @@ class TruncatedDual:
     ground: int
     values: Mapping[int, Fraction]
 
-    def value(self, mask: int) -> Fraction:
-        return self.values[mask]
-
     @property
     def core_nonempty(self) -> bool:
         # Truncation at the ground set is the partition minimum, so equality
@@ -42,15 +39,18 @@ class ConvexCharacteristic:
     ground: int
     values: Mapping[int, Fraction]
 
-    def value(self, mask: int) -> Fraction:
-        return self.values[mask]
+
+def _dual_min_table(game: Game) -> tuple[list[int], int, list[int]]:
+    """The game's dual as ints over ``den`` and one engine pass over it: the
+    truncation at X is ``table[X] // (n + 1)`` over ``den``."""
+    dual, den = game.dual_ints()
+    return dual, den, partition_min_table(game.full_mask, dual)
 
 
 def dilworth_truncate(game: Game) -> TruncatedDual:
     """Truncate the game's dual on every subset (one engine pass on its ints)."""
-    dual, den = game.dual_ints()
+    _, den, table = _dual_min_table(game)
     width = game.model.n + 1
-    table = partition_min_table(game.full_mask, dual)
     return TruncatedDual(
         game.alpha, game.full_mask, {x: Fraction(v // width, den) for x, v in enumerate(table)}
     )

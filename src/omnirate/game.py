@@ -1,12 +1,12 @@
 """The coalitional game on a source model: characteristic function, dual, and
-membership tests for the rate polyhedra and the core."""
+membership tests for the rate polyhedra and the core, all on one subset loop."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .combinatorics import bits, subsets
 from .models import SourceModel
@@ -114,17 +114,43 @@ class Decision:
 _OK = Decision(True)
 
 
-def _subset_sums(r: RateVector, full_mask: int) -> list[Fraction]:
-    sums = [Fraction(0)] * (full_mask + 1)
-    for x in subsets(full_mask, nonempty=True):
-        low = x & -x
-        sums[x] = sums[x ^ low] + r[low.bit_length() - 1]
-    return sums
-
-
-def _check_arity(model: SourceModel, r: RateVector) -> None:
+def _check_coalitions(
+    model: SourceModel,
+    r: RateVector,
+    bound: Callable[[int], Fraction],
+    label: str,
+    alpha: Fraction | None = None,
+    upper: bool = False,
+) -> Decision:
+    """The membership loop of the three checks below: arity, then r(V) = alpha
+    if ``alpha`` is given, then the first proper X in ascending mask order with
+    r(X) < bound(X) (r(X) > bound(X) if ``upper``); ``label`` names the bound.
+    """
     if len(r) != model.n:
         raise ValueError(f"rate vector has {len(r)} entries for {model.n} users")
+    full = model.full_mask
+    sums = [Fraction(0)] * (full + 1)
+    for x in subsets(full, nonempty=True):
+        low = x & -x
+        sums[x] = sums[x ^ low] + r[low.bit_length() - 1]
+    if alpha is not None and sums[full] != alpha:
+        return Decision(
+            False,
+            "sum",
+            full,
+            f"r(V)={format_rational(sums[full])} != alpha={format_rational(alpha)}",
+        )
+    for x in subsets(full, nonempty=True, proper=True):
+        b = bound(x)
+        if sums[x] > b if upper else sums[x] < b:
+            return Decision(
+                False,
+                "upper" if upper else "coalition",
+                x,
+                f"r(X)={format_rational(sums[x])} {'>' if upper else '<'} "
+                f"{label}{format_rational(b)} for X={{{','.join(model.ids_from_mask(x))}}}",
+            )
+    return _OK
 
 
 def satisfies_slepian_wolf(model: SourceModel, r: RateVector) -> Decision:
@@ -133,80 +159,29 @@ def satisfies_slepian_wolf(model: SourceModel, r: RateVector) -> Decision:
     Checks r(X) >= H(Z_X | Z_{V\\X}) for all proper X; a failing X is returned
     as witness.
     """
-    _check_arity(model, r)
     full = model.full_mask
     h_total = model.entropy(full)
-    sums = _subset_sums(r, full)
-    for x in subsets(full, nonempty=True, proper=True):
-        need = h_total - model.entropy(full & ~x)
-        if sums[x] < need:
-            return Decision(
-                False,
-                "coalition",
-                x,
-                f"r(X)={format_rational(sums[x])} < {format_rational(need)} "
-                f"for X={{{','.join(model.ids_from_mask(x))}}}",
-            )
-    return _OK
+    return _check_coalitions(model, r, lambda x: h_total - model.entropy(full & ~x), "")
 
 
 def in_core(game: Game, r: RateVector, integer_mode: bool = False) -> Decision:
-    """Core membership: all coalition lower bounds hold and r(V) = alpha.
+    """Core membership: r(V) = alpha and r(X) >= f(X) for every proper X.
 
-    The grand coalition enters as the exact sum equality only. With
-    ``integer_mode`` every rate must also be an integer.
+    With ``integer_mode`` every rate must also be an integer. The failure
+    reported is the first of: sum, fractional rate, coalition.
     """
-    _check_arity(game.model, r)
-    full = game.full_mask
-    sums = _subset_sums(r, full)
-    if sums[full] != game.alpha:
-        return Decision(
-            False,
-            "sum",
-            full,
-            f"r(V)={format_rational(sums[full])} != alpha={format_rational(game.alpha)}",
-        )
-    if integer_mode:
+    decision = _check_coalitions(game.model, r, game.char_value, "f(X)=", game.alpha)
+    if integer_mode and decision.kind != "sum":
         for i, x in enumerate(r):
             if x.denominator != 1:
                 return Decision(False, "fractional", i, f"r_{game.model.users[i]}={format_rational(x)}")
-    for x in subsets(full, nonempty=True, proper=True):
-        bound = game.char_value(x)
-        if sums[x] < bound:
-            return Decision(
-                False,
-                "coalition",
-                x,
-                f"r(X)={format_rational(sums[x])} < f(X)={format_rational(bound)} "
-                f"for X={{{','.join(game.model.ids_from_mask(x))}}}",
-            )
-    return _OK
+    return decision
 
 
 def dual_membership(game: Game, r: RateVector) -> Decision:
     """Core membership via the dual upper-bound form r(X) <= f#(X).
 
-    Must agree with :func:`in_core` whenever r(V) = alpha; exposed so that
-    the duality can be checked directly.
+    The same polyhedron as :func:`in_core` without ``integer_mode``, so the
+    two agree on every vector; exposed so that duality can be checked directly.
     """
-    _check_arity(game.model, r)
-    full = game.full_mask
-    sums = _subset_sums(r, full)
-    if sums[full] != game.alpha:
-        return Decision(
-            False,
-            "sum",
-            full,
-            f"r(V)={format_rational(sums[full])} != alpha={format_rational(game.alpha)}",
-        )
-    for x in subsets(full, nonempty=True, proper=True):
-        bound = game.dual_value(x)
-        if sums[x] > bound:
-            return Decision(
-                False,
-                "upper",
-                x,
-                f"r(X)={format_rational(sums[x])} > f#(X)={format_rational(bound)} "
-                f"for X={{{','.join(game.model.ids_from_mask(x))}}}",
-            )
-    return _OK
+    return _check_coalitions(game.model, r, game.dual_value, "f#(X)=", game.alpha, upper=True)

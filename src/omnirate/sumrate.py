@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .combinatorics import Partition, min_partition, min_partition_sum, partition_min_table
+from .combinatorics import Partition, min_partition, partition_min_table
+from .dilworth import _dual_min_table
 from .game import Game
 from .models import SourceModel
 
@@ -54,26 +54,14 @@ class SumRateReport:
     flags: tuple[str, ...] = ()
 
 
-def upper_base_nonempty(cost: Callable[[int], Fraction], ground: int) -> NonemptinessCertificate:
-    """Nonemptiness of B(g, <=) for an intersecting-submodular g, g(empty)=0.
-
-    The polyhedron is nonempty iff g(ground) equals the minimum over all
-    partitions of the block sums of g; the minimizing partition is returned
-    as certificate either way.
-    """
-    total = cost(ground)
-    value, part = min_partition_sum(ground, cost)
-    return NonemptinessCertificate(value == total, total, value, part)
-
-
 def core_nonempty(game: Game) -> NonemptinessCertificate:
     """Is the core of the game nonempty at its alpha? Certificate included.
 
-    One engine pass over the integer-scaled dual, plus the certificate.
+    One engine pass over the integer-scaled dual, shared with the
+    truncation, plus the certificate.
     """
-    dual, den = game.dual_ints()
+    dual, den, table = _dual_min_table(game)
     full = game.full_mask
-    table = partition_min_table(full, dual)
     value = table[full] // (game.model.n + 1)
     part = min_partition(full, dual, table)
     return NonemptinessCertificate(value == dual[full], game.alpha, Fraction(value, den), part)

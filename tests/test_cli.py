@@ -204,11 +204,25 @@ REPORT_GOLDEN_CASES = {
 }
 
 
-def golden_reports_text(data_dir: str, model: str) -> str:
+# Core membership (one case per witness kind, in the order the checks run)
+# and the polyhedron report, on example1: the coalition checks and the
+# truncation behind them.
+MEMBERSHIP_GOLDEN_CASES = [
+    ("core member", ("core", "--alpha", "4", "--rates", "3,0,1")),
+    ("core sum failure", ("core", "--alpha", "4", "--rates", "3,0,0")),
+    ("core fractional failure", ("core", "--alpha", "4", "--rates", "5/2,1/2,1", "--integer")),
+    ("core coalition failure", ("core", "--alpha", "4", "--rates", "4,0,0")),
+    ("core first of two coalition failures", ("core", "--alpha", "4", "--rates", "0,1,3")),
+    ("polyhedron above R_CO", ("polyhedron", "--alpha", "4")),
+    ("polyhedron core empty", ("polyhedron", "--alpha", "16/5")),
+]
+
+
+def golden_reports_text(data_dir: str, model: str, cases=None) -> str:
     """Exit code, results and certificates of every case, as pinned on disk."""
     path = os.path.join(data_dir, model + ".json")
     pinned = {}
-    for label, (command, *rest) in REPORT_GOLDEN_CASES[model]:
+    for label, (command, *rest) in cases or REPORT_GOLDEN_CASES[model]:
         code, report, _, _ = cli(command, path, *rest)
         pinned[label] = {
             "exit": code,
@@ -224,6 +238,13 @@ def test_report_golden(example1_path, model):
     data_dir = os.path.dirname(example1_path)
     with open(os.path.join(data_dir, "golden", f"reports_{model}.json"), encoding="utf-8") as fh:
         assert golden_reports_text(data_dir, model) == fh.read()
+
+
+def test_membership_and_polyhedron_golden(example1_path):
+    data_dir = os.path.dirname(example1_path)
+    path = os.path.join(data_dir, "golden", "membership_example1.json")
+    with open(path, encoding="utf-8") as fh:
+        assert golden_reports_text(data_dir, "example1", MEMBERSHIP_GOLDEN_CASES) == fh.read()
 
 
 # Validation reports list every violation with its detail string; one valid
@@ -379,8 +400,6 @@ def test_usage_errors_exit_one(example1_path):
     assert code == 1
     code, _, _, _ = cli("allocate", example1_path, "--alpha", "4", "--method", "bogus")
     assert code == 1
-    code, _, _, err = cli("minrate", example1_path, "--parallel", "0")
-    assert code == 1
 
 
 def test_rationals_in_reports_are_lowest_terms(example1_path):
@@ -429,3 +448,36 @@ def test_oversized_numbers_and_bad_bytes_exit_one(tmp_path, example1_path):
         code, report, _, err = cli(*argv)
         assert (code, report) == (1, None), argv
         assert err.startswith("error:") and message in err, argv
+
+
+def test_results_that_cannot_be_printed_exit_one(tmp_path):
+    # Valid tables whose results cannot be printed: H = 1e400 overflows the
+    # float `decimal` value, and R_CO over two 3000-digit denominators passes
+    # the int/str digit limit.
+    def table(name, h1, h2, h12):
+        entries = [
+            {"set": [], "H": "0"},
+            {"set": ["1"], "H": h1},
+            {"set": ["2"], "H": h2},
+            {"set": ["1", "2"], "H": h12},
+        ]
+        path = tmp_path / name
+        path.write_text(json.dumps({"type": "entropy", "users": ["1", "2"], "entries": entries}))
+        return str(path)
+
+    huge = table("huge.json", "1e400", "1e400", "2e400")
+    big = 10**2999
+    fine = table("fine.json", f"1/{big + 1}", f"1/{big + 3}", f"1/{big + 1}")
+    for path in (huge, fine):
+        assert cli("validate", path)[0] == 0
+    for argv in (
+        ("minrate", huge),
+        ("core", huge, "--alpha", "1e400"),
+        ("allocate", huge, "--alpha", "2e400", "--method", "shapley"),
+        ("minrate", fine),
+        # the sum-failure detail prints r(V) over both denominators
+        ("core", fine, "--alpha", "1", "--rates", f"1/{big + 1},1/{big + 3}"),
+    ):
+        code, report, text, err = cli(*argv)
+        assert (code, report, text) == (1, None, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv

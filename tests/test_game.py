@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from omnirate import (
+    Decision,
     Game,
     PacketModel,
     RateVector,
@@ -65,6 +66,10 @@ def test_slepian_wolf_examples(example1):
     assert not bad
     assert bad.witness == example1.mask_from_ids(["1"])
     assert satisfies_slepian_wolf(example1, RateVector.of([3, 1, 0]))
+    # the first failing coalition in ascending mask order is the witness
+    assert satisfies_slepian_wolf(example1, RateVector.of([1, 0, 0])) == Decision(
+        False, "coalition", 0b011, "r(X)=1 < 3 for X={1,2}"
+    )
 
 
 def test_in_core_examples(example1):
@@ -88,6 +93,13 @@ def test_dual_membership_examples(example1):
     bad = dual_membership(g, RateVector.of([4, 0, 0]))
     assert not bad
     assert bad.witness == example1.mask_from_ids(["1"])
+    assert bad == Decision(False, "upper", 0b001, "r(X)=4 > f#(X)=3 for X={1}")
+    assert dual_membership(g, RateVector.of([0, 1, 3])) == Decision(
+        False, "upper", 0b100, "r(X)=3 > f#(X)=1 for X={3}"
+    )
+    assert dual_membership(g, RateVector.of([3, 0, 0])) == Decision(
+        False, "sum", 0b111, "r(V)=3 != alpha=4"
+    )
 
 
 def test_dual_membership_all_constraints_tight():

@@ -14,7 +14,6 @@ from omnirate import (
     min_sum_rate_asymptotic,
     min_sum_rate_non_asymptotic,
     mmi,
-    upper_base_nonempty,
 )
 
 from oracles import (
@@ -71,19 +70,6 @@ def test_three_identical_users():
     model = PacketModel({"1": ["a"], "2": ["a"], "3": ["a"]})
     assert min_sum_rate_asymptotic(model).r_co == 0
     assert min_sum_rate_non_asymptotic(model).r_co == 0
-
-
-def test_upper_base_nonempty_generic_forms(example1):
-    g35 = Game(example1, F(7, 2)).dual_table()
-    assert upper_base_nonempty(g35.__getitem__, example1.full_mask)
-    g32 = Game(example1, F(16, 5)).dual_table()
-    assert not upper_base_nonempty(g32.__getitem__, example1.full_mask)
-    # modular functions split every partition to the same total
-    weights = [F(3), F(1, 2), F(2)]
-    modular = {
-        m: sum((weights[i] for i in range(3) if m >> i & 1), F(0)) for m in range(8)
-    }
-    assert upper_base_nonempty(modular.__getitem__, 0b111)
 
 
 def test_min_sum_rate_matches_brute_force():
