@@ -265,6 +265,34 @@ def test_validate_golden(example1_path, model):
         assert golden_validate_text(data_dir, model) == fh.read()
 
 
+# Sampled join orders (n! > 8!): allocate --method greedy with a seed on a
+# 9-user model at alpha = R_CO = 3. The report lists the distinct vertices of
+# 2000 seeded orders, ranked by Jain index with ties on the rates.
+GREEDY_SAMPLED_ARGV = ("allocate", "--alpha", "3", "--method", "greedy", "--seed", "3")
+
+
+def golden_greedy_sampled_text(data_dir: str) -> str:
+    command, *rest = GREEDY_SAMPLED_ARGV
+    code, report, _, _ = cli(command, os.path.join(data_dir, "packets_n9.json"), *rest)
+    inputs = {k: v for k, v in report["inputs"].items() if k != "model"}
+    pinned = {
+        "exit": code,
+        "inputs": inputs,
+        "results": report["results"],
+        "certificates": report["certificates"],
+    }
+    return json.dumps(pinned, indent=2) + "\n"
+
+
+def test_allocate_greedy_sampled_golden(example1_path):
+    data_dir = os.path.dirname(example1_path)
+    path = os.path.join(data_dir, "golden", "allocate_greedy_packets_n9_seed3.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert json.loads(text)["results"]["partial"] is True
+    assert golden_greedy_sampled_text(data_dir) == text
+
+
 def test_allocate_greedy_with_order(example1_path):
     code, report, _, _ = cli(
         "allocate", example1_path, "--alpha", "4", "--method", "greedy", "--order", "1,2,3"
