@@ -22,7 +22,6 @@ from .allocation import (
 from .combinatorics import (
     Partition,
     bits,
-    mask_of,
     min_partition_sum,
     partition_min_table,
     subsets,
@@ -50,7 +49,6 @@ from .models import (
     SourceModel,
     ValidationReport,
     Violation,
-    canonical_model_dict,
     load_model,
     model_digest,
     model_from_dict,
@@ -96,7 +94,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "bits",
-    "canonical_model_dict",
     "convex_characteristic",
     "core_nonempty",
     "dilworth_truncate",
@@ -110,7 +107,6 @@ __all__ = [
     "in_core",
     "jain_index",
     "load_model",
-    "mask_of",
     "min_partition_sum",
     "min_sum_rate_asymptotic",
     "min_sum_rate_non_asymptotic",

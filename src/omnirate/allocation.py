@@ -1,5 +1,10 @@
 """Rate allocation: Shapley fairness, greedy core vertices, integer core
-enumeration, and Jain-index comparison."""
+enumeration, and Jain-index comparison.
+
+Shapley and the integer-core walk read the truncated dual's ints
+(``TruncatedDual.table`` over ``den``); greedy vertices read its Fraction
+view.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +12,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial
 from operator import sub
 from typing import Iterable, Sequence
 
 from .combinatorics import subsets
 from .dilworth import TruncatedDual, dilworth_truncate, greedy_marginals
 from .game import Game, RateVector
-from .rationals import format_rational
+from .rationals import format_rational, to_ints
 
 
 class CoreEmptyError(ValueError):
@@ -41,9 +46,14 @@ class Allocation:
     jain: Fraction | None = None  # None only for the all-zero vector
 
 
+# join orders: all n! of them up to this many users, seeded samples above
+_EXACT_MAX_USERS = 8
+_SAMPLED_ORDERS = 2000
+
+
 def _require_nonempty(trunc: TruncatedDual) -> None:
     if not trunc.core_nonempty:
-        raise CoreEmptyError(trunc.alpha, trunc.values[trunc.ground])
+        raise CoreEmptyError(trunc.alpha, Fraction(trunc.table[trunc.ground], trunc.den))
 
 
 def shapley(trunc: TruncatedDual) -> Allocation:
@@ -51,20 +61,17 @@ def shapley(trunc: TruncatedDual) -> Allocation:
 
     Each user's rate is the factorial-weighted sum of marginal contributions
     over all subsets X not containing the user i,
-    sum |X|!(n-|X|-1)! * (t(X+i) - t(X)) / n!. The truncated values are
-    scaled to integers over one common denominator, the sum runs on ints
-    with the weights precomputed by |X|, and each user's rate is one exact
-    division: n * 2^(n-1) integer terms in all. Refuses when the core is
-    empty, since the fairness guarantee only exists above the minimum
-    sum-rate.
+    sum |X|!(n-|X|-1)! * (t(X+i) - t(X)) / n!. The sum runs on the
+    truncation's ints with the weights precomputed by |X|, and each user's
+    rate is one exact division by n! * den: n * 2^(n-1) integer terms in
+    all. Refuses when the core is empty, since the fairness guarantee only
+    exists above the minimum sum-rate.
     """
     _require_nonempty(trunc)
     n = trunc.ground.bit_count()
-    values = [trunc.values[x] for x in range(trunc.ground + 1)]
-    den = lcm(*(v.denominator for v in values))
-    t = [v.numerator * (den // v.denominator) for v in values]
+    t = trunc.table
     weight = [factorial(k) * factorial(n - k - 1) for k in range(n)]
-    total = factorial(n) * den
+    total = factorial(n) * trunc.den
     rates = []
     for i in range(n):
         bit = 1 << i
@@ -87,27 +94,23 @@ def greedy_vertex(trunc: TruncatedDual, order: Sequence[int]) -> Allocation:
 
 
 def greedy_vertices(
-    trunc: TruncatedDual,
-    *,
-    max_exact_orders: int = 40320,
-    sample_size: int = 2000,
-    seed: int | None = None,
+    trunc: TruncatedDual, *, seed: int | None = None
 ) -> tuple[list[Allocation], bool]:
     """All distinct greedy vertices of the core (one allocation per vertex).
 
-    Exhausts every join order when n! <= ``max_exact_orders`` (default 8!).
-    Larger ground sets get ``sample_size`` seeded random orders instead and
-    the second return value flags the result as partial.
+    Exhausts every join order up to 8 users (8! orders). Larger ground sets
+    get 2000 random orders from ``random.Random(seed)`` instead, and the
+    second return value flags the result as partial.
     """
     _require_nonempty(trunc)
     n = trunc.ground.bit_count()
-    partial = factorial(n) > max_exact_orders
+    partial = n > _EXACT_MAX_USERS
     if partial:
         rng = random.Random(seed)
         base = list(range(n))
 
         def orders():
-            for _ in range(sample_size):
+            for _ in range(_SAMPLED_ORDERS):
                 rng.shuffle(base)
                 yield tuple(base)
 
@@ -146,9 +149,10 @@ def enumerate_integer_core(game: Game) -> list[RateVector]:
     Tardos). So each interval is nonempty, each value in it extends to a core
     vector, every leaf is an output, and no per-leaf core test is made.
 
-    Cost: one 3^n truncation, then O(n * 2^n) integer operations per output
-    vector. Tables that are not polymatroids get the same exact answer, but
-    the walk can then meet empty intervals.
+    Cost: one 3^n truncation, read as ints (its denominator is 1 here),
+    then O(n * 2^n) integer operations per output vector. Tables that are
+    not polymatroids get the same exact answer, but the walk can then meet
+    empty intervals.
     """
     if game.alpha.denominator != 1:
         raise IntegralityError(
@@ -164,7 +168,7 @@ def enumerate_integer_core(game: Game) -> list[RateVector]:
         return []
     full = game.full_mask
     last = 1 << (game.model.n - 1)
-    g = [int(trunc.values[x]) for x in range(full + 1)]
+    g = trunc.table  # over den = 1: alpha and every entropy are integers
     alpha = g[full]
     lower = [alpha - g[full ^ x] for x in range(full + 1)]
     # s[Y] = r(Y) for every Y among the users fixed so far; the masks of
@@ -202,8 +206,7 @@ def jain_index(r: Iterable[Fraction] | RateVector) -> Fraction:
     which cancels from the ratio.
     """
     rates = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r]
-    scale = lcm(*(x.denominator for x in rates))
-    scaled = [x.numerator * (scale // x.denominator) for x in rates]
+    scaled, _ = to_ints(rates)
     square_sum = sum(a * a for a in scaled)
     if square_sum == 0:
         raise ValueError("Jain index is undefined for the all-zero vector")

@@ -173,7 +173,7 @@ def _report(command: str, model: SourceModel, inputs: dict) -> dict:
 
 def _echo_inputs(args, **extra) -> dict:
     base = {"model": args.model, "format": args.format}
-    if getattr(args, "seed", None) is not None:
+    if getattr(args, "seed", None) is not None:  # allocate only
         base["seed"] = args.seed
     base.update(extra)
     return base
@@ -351,7 +351,7 @@ def cmd_polyhedron(args) -> tuple[dict, int]:
         for x in subsets(model.full_mask)
     ]
     if trunc.core_nonempty:
-        allocs, partial = greedy_vertices(trunc, seed=0 if args.seed is None else args.seed)
+        allocs, partial = greedy_vertices(trunc)  # exact: at most 8 users here
         vertices = [_qv(a.rates) for a in allocs]
     else:
         vertices, partial = [], False
@@ -413,9 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for sampled join orders (large models)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser(
@@ -448,6 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         default=None,
         help="user join order for greedy, e.g. 1,2,3 (default: all vertices)",
+    )
+    p.add_argument(
+        "--seed", type=int, default=None, help="seed for greedy's sampled join orders (n > 8)"
     )
 
     p = sub.add_parser(

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+from .rationals import to_ints
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -19,16 +20,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    """Bit-mask with the given indices set."""
-    m = 0
-    for i in indices:
-        if i < 0:
-            raise ValueError(f"negative index {i}")
-        m |= 1 << i
-    return m
 
 
 def subsets(ground: int, *, nonempty: bool = False, proper: bool = False) -> Iterator[int]:
@@ -52,30 +43,12 @@ class Partition:
     """A partition of ``ground`` into disjoint nonempty blocks.
 
     ``blocks`` is canonical: ordered by each block's smallest element, so
-    structurally equal partitions compare equal. Instances produced by this
-    module are canonical by construction; use :meth:`from_blocks` to build
-    (and validate) one from arbitrary input.
+    structurally equal partitions compare equal. :func:`min_partition`
+    builds them in that order.
     """
 
     ground: int
     blocks: tuple[int, ...]
-
-    @classmethod
-    def from_blocks(cls, blocks: Iterable[int], ground: int | None = None) -> "Partition":
-        blocks = tuple(blocks)
-        union = 0
-        for b in blocks:
-            if b == 0:
-                raise ValueError("empty block")
-            if union & b:
-                raise ValueError("blocks overlap")
-            union |= b
-        if ground is None:
-            ground = union
-        elif union != ground:
-            raise ValueError("blocks do not cover the ground set")
-        ordered = tuple(sorted(blocks, key=lambda b: b & -b))
-        return cls(ground, ordered)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.blocks)
@@ -100,8 +73,9 @@ def partition_min_table(ground: int, cost: Sequence[int], *, proper: bool = Fals
     ``cost`` is a list of ints indexed by mask. The table is f(empty) = 0 and
     f(X) = min over blocks S containing the lowest element of X of
     cost(S) + f(X minus S); fixing that element counts each partition once.
-    With ``proper``, f(ground) leaves out the single block S = ground, so it
-    is the minimum over partitions into two or more blocks.
+    With ``proper``, the single block S = ground costs more than the
+    singletons together, so f(ground) is the minimum over partitions into
+    two or more blocks.
 
     Ties prefer fewer blocks: a block costs ``cost[S] * (m + 1) + 1`` with
     m = |ground|, so each entry is ``value * (m + 1) + blocks`` (split it
@@ -111,6 +85,10 @@ def partition_min_table(ground: int, cost: Sequence[int], *, proper: bool = Fals
     """
     width = ground.bit_count() + 1
     enc = [c * width + 1 for c in cost]
+    if proper:
+        if ground & (ground - 1) == 0:
+            raise ValueError("a partition into two or more blocks needs two or more elements")
+        enc[ground] = sum(enc[1 << i] for i in bits(ground)) + 1
     table = [0] * (ground + 1)
     x = 0
     while x != ground:
@@ -125,10 +103,6 @@ def partition_min_table(ground: int, cost: Sequence[int], *, proper: bool = Fals
             if value < best:
                 best = value
         table[x] = best
-    if proper:
-        low = ground & -ground
-        rest = ground ^ low
-        table[ground] = min(enc[low | s] + table[rest ^ s] for s in subsets(rest, proper=True))
     return table
 
 
@@ -163,9 +137,8 @@ def min_partition_sum(ground: int, cost: Callable[[int], Fraction]) -> tuple[Fra
     Exact: the costs are scaled to ints over their common denominator and
     handed to :func:`partition_min_table`.
     """
-    values = {x: Fraction(cost(x)) for x in subsets(ground, nonempty=True)}
-    den = lcm(*(v.denominator for v in values.values()))
-    scaled = [int(values.get(x, 0) * den) for x in range(ground + 1)]
+    values = [Fraction(cost(x)) if x and x & ~ground == 0 else 0 for x in range(ground + 1)]
+    scaled, den = to_ints(values)
     table = partition_min_table(ground, scaled)
     value = Fraction(table[ground] // (ground.bit_count() + 1), den)
     return value, min_partition(ground, scaled, table)

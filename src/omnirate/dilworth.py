@@ -3,13 +3,16 @@
 Truncating the dual (subset-wise minimum over partition block sums) yields a
 submodular function with the same upper base polyhedron whenever the sum-rate
 is achievable; flipping it through the ground set gives a supermodular
-characteristic function, i.e. a convex game with the same core.
+characteristic function, i.e. a convex game with the same core. The
+truncation is one table of ints over one denominator, as the partition
+engine computes it; the allocators read those ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .combinatorics import partition_min_table, subsets
@@ -18,17 +21,23 @@ from .game import Game
 
 @dataclass(frozen=True)
 class TruncatedDual:
-    """Full truncation table of the dual function."""
+    """Truncation of the dual on every subset: ``table[X] / den`` at mask X."""
 
     alpha: Fraction
     ground: int
-    values: Mapping[int, Fraction]
+    table: Sequence[int]
+    den: int
+
+    @cached_property
+    def values(self) -> dict[int, Fraction]:
+        """The same table as Fractions keyed by mask, built on first use."""
+        return {x: Fraction(v, self.den) for x, v in enumerate(self.table)}
 
     @property
     def core_nonempty(self) -> bool:
         # Truncation at the ground set is the partition minimum, so equality
         # with alpha is exactly the nonemptiness condition.
-        return self.values[self.ground] == self.alpha
+        return self.table[self.ground] * self.alpha.denominator == self.alpha.numerator * self.den
 
 
 @dataclass(frozen=True)
@@ -40,20 +49,13 @@ class ConvexCharacteristic:
     values: Mapping[int, Fraction]
 
 
-def _dual_min_table(game: Game) -> tuple[list[int], int, list[int]]:
-    """The game's dual as ints over ``den`` and one engine pass over it: the
-    truncation at X is ``table[X] // (n + 1)`` over ``den``."""
-    dual, den = game.dual_ints()
-    return dual, den, partition_min_table(game.full_mask, dual)
-
-
 def dilworth_truncate(game: Game) -> TruncatedDual:
-    """Truncate the game's dual on every subset (one engine pass on its ints)."""
-    _, den, table = _dual_min_table(game)
+    """Truncate the game's dual on every subset: one engine pass over its
+    ints, decoded (the engine keeps the block count in the low digits)."""
+    dual, den = game.dual_ints()
     width = game.model.n + 1
-    return TruncatedDual(
-        game.alpha, game.full_mask, {x: Fraction(v // width, den) for x, v in enumerate(table)}
-    )
+    table = [v // width for v in partition_min_table(game.full_mask, dual)]
+    return TruncatedDual(game.alpha, game.full_mask, table, den)
 
 
 def convex_characteristic(trunc: TruncatedDual) -> ConvexCharacteristic:
@@ -62,11 +64,9 @@ def convex_characteristic(trunc: TruncatedDual) -> ConvexCharacteristic:
     value(X) = trunc(V) - trunc(V\\X); supermodular whenever the core is
     nonempty at this alpha.
     """
-    total = trunc.values[trunc.ground]
-    values = {
-        x: total - trunc.values[trunc.ground & ~x] for x in subsets(trunc.ground)
-    }
-    return ConvexCharacteristic(trunc.alpha, trunc.ground, values)
+    t, ground, den = trunc.table, trunc.ground, trunc.den
+    values = {x: Fraction(t[ground] - t[ground & ~x], den) for x in subsets(ground)}
+    return ConvexCharacteristic(trunc.alpha, ground, values)
 
 
 def greedy_marginals(

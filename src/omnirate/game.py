@@ -43,9 +43,6 @@ class RateVector:
     def sum_over(self, mask: int) -> Fraction:
         return sum((self.rates[i] for i in bits(mask)), Fraction(0))
 
-    def is_integral(self) -> bool:
-        return all(r.denominator == 1 for r in self.rates)
-
 
 class Game:
     """Game on user set V with sum-rate ``alpha``.

@@ -32,12 +32,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import ge, itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import bits, subsets
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, to_ints
 
 
 class ModelFormatError(ValueError):
@@ -103,9 +102,7 @@ class SourceModel:
     def entropy_table(self) -> tuple[list[int], int]:
         """H on every subset as (h, den): H(X) = h[X] / den, one common
         denominator, ``h`` indexed by mask. Built once; do not mutate it."""
-        values = [self.entropy(x) for x in range(self.full_mask + 1)]
-        den = lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values], den
+        return to_ints([self.entropy(x) for x in range(self.full_mask + 1)])
 
     def is_integral(self) -> bool:
         """True when every subset entropy is an integer."""
@@ -351,7 +348,7 @@ def load_model(path: str, *, validate: bool = True) -> SourceModel:
     return model
 
 
-def canonical_model_dict(model: SourceModel) -> dict:
+def _canonical_model_dict(model: SourceModel) -> dict:
     """Canonical JSON-ready form of the model (user order preserved)."""
     if isinstance(model, PacketModel):
         body: dict = {
@@ -374,5 +371,5 @@ def canonical_model_dict(model: SourceModel) -> dict:
 
 def model_digest(model: SourceModel) -> str:
     """Content hash of the canonicalized model, for traceable reports."""
-    blob = json.dumps(canonical_model_dict(model), separators=(",", ":"), sort_keys=True)
+    blob = json.dumps(_canonical_model_dict(model), separators=(",", ":"), sort_keys=True)
     return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 # CPython's default int/str conversion limit, for interpreters that set none
 _DEFAULT_MAX_DIGITS = 4300
@@ -56,3 +58,10 @@ def _check_digits(text: str) -> None:
 def format_rational(x: Fraction) -> str:
     """Lowest-terms "p/q" string ("4" when the denominator is 1)."""
     return str(x if isinstance(x, Fraction) else Fraction(x))
+
+
+def to_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as ints over their least common denominator: ``(ints, den)``
+    with ``values[k] == Fraction(ints[k], den)``. Ints count as over 1."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import Partition, min_partition, partition_min_table
-from .dilworth import _dual_min_table
 from .game import Game
 from .models import SourceModel
 
@@ -57,11 +56,12 @@ class SumRateReport:
 def core_nonempty(game: Game) -> NonemptinessCertificate:
     """Is the core of the game nonempty at its alpha? Certificate included.
 
-    One engine pass over the integer-scaled dual, shared with the
-    truncation, plus the certificate.
+    One engine pass over the integer-scaled dual, as in the truncation,
+    plus the certificate.
     """
-    dual, den, table = _dual_min_table(game)
+    dual, den = game.dual_ints()
     full = game.full_mask
+    table = partition_min_table(full, dual)
     value = table[full] // (game.model.n + 1)
     part = min_partition(full, dual, table)
     return NonemptinessCertificate(value == dual[full], game.alpha, Fraction(value, den), part)

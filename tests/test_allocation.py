@@ -259,13 +259,22 @@ def test_fairness_compare_breaks_jain_ties_lexicographically():
 
 
 def test_greedy_vertices_sampling_is_partial_and_seeded():
-    model = random_packet_model(random.Random(101), n_users=4)
-    r_co = min_sum_rate_asymptotic(model).r_co
-    trunc = dilworth_truncate(Game(model, r_co + 1))
-    full, partial_flag = greedy_vertices(trunc)
-    assert not partial_flag
-    sampled, partial = greedy_vertices(trunc, max_exact_orders=5, sample_size=40, seed=7)
+    small = random_packet_model(random.Random(101), n_users=4)
+    trunc = dilworth_truncate(Game(small, min_sum_rate_asymptotic(small).r_co + 1))
+    _, partial_flag = greedy_vertices(trunc)
+    assert not partial_flag  # up to 8 users every join order is walked
+    model = random_packet_model(random.Random(101), n_users=9)
+    game = Game(model, min_sum_rate_asymptotic(model).r_co)
+    trunc = dilworth_truncate(game)
+    sampled, partial = greedy_vertices(trunc, seed=7)
     assert partial
-    again, _ = greedy_vertices(trunc, max_exact_orders=5, sample_size=40, seed=7)
-    assert [tuple(v.rates) for v in sampled] == [tuple(v.rates) for v in again]
-    assert {tuple(v.rates) for v in sampled} <= {tuple(v.rates) for v in full}
+    again, _ = greedy_vertices(trunc, seed=7)
+    assert [(v.order, tuple(v.rates)) for v in sampled] == [
+        (v.order, tuple(v.rates)) for v in again
+    ]
+    # distinct vertices, each the greedy vertex of its own order (so a subset
+    # of the vertices over all 9! orders) and in the core
+    assert len({tuple(v.rates) for v in sampled}) == len(sampled) > 1
+    for v in sampled:
+        assert tuple(v.rates) == greedy_marginals(trunc.values, v.order)
+        assert in_core(game, v.rates)

@@ -428,6 +428,8 @@ def test_usage_errors_exit_one(example1_path):
     assert code == 1
     code, _, _, _ = cli("allocate", example1_path, "--alpha", "4", "--method", "bogus")
     assert code == 1
+    code, _, _, _ = cli("minrate", example1_path, "--seed", "1")  # --seed is allocate's
+    assert code == 1
 
 
 def test_rationals_in_reports_are_lowest_terms(example1_path):

@@ -5,24 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnirate import Partition, bits, mask_of, min_partition_sum, partition_min_table, subsets
+from omnirate import Partition, bits, min_partition_sum, partition_min_table, subsets
 from omnirate.combinatorics import min_partition
 
-from oracles import bell_number, brute_min_partition, partitions, set_partitions
+from oracles import (
+    bell_number,
+    brute_min_partition,
+    mask_from_indices,
+    partitions,
+    set_partitions,
+)
 
 
 def test_bits_roundtrip():
     assert list(bits(0b10110)) == [1, 2, 4]
-    assert mask_of([1, 2, 4]) == 0b10110
     assert list(bits(0)) == []
 
 
 def test_subsets_counts():
-    two = mask_of([1, 2])
+    two = mask_from_indices([1, 2])
     assert sorted(subsets(two)) == [0, 0b010, 0b100, 0b110]
-    three = mask_of([1, 2, 3])
+    three = mask_from_indices([1, 2, 3])
     assert len(list(subsets(three, nonempty=True, proper=True))) == 6
-    single = mask_of([1])
+    single = mask_from_indices([1])
     assert list(subsets(single, nonempty=True, proper=True)) == []
 
 
@@ -72,17 +77,6 @@ def test_partitions_are_valid_and_distinct(ground):
         assert part.blocks not in seen
         seen.add(part.blocks)
     assert len(seen) == bell_number(ground.bit_count())
-
-
-def test_from_blocks_validates():
-    part = Partition.from_blocks([0b100, 0b011])
-    assert part.blocks == (0b011, 0b100)
-    with pytest.raises(ValueError):
-        Partition.from_blocks([0b011, 0b010])
-    with pytest.raises(ValueError):
-        Partition.from_blocks([0b001, 0])
-    with pytest.raises(ValueError):
-        Partition.from_blocks([0b001], ground=0b011)
 
 
 def test_min_partition_sum_trivial_cases():
@@ -180,6 +174,9 @@ def test_engine_matches_brute_force_on_grounds_with_holes():
             table = partition_min_table(ground, cost, proper=True)
             assert divmod(table[ground], width) == (value, blocks)
             assert min_partition(ground, cost, table) == part
+        else:
+            with pytest.raises(ValueError, match="two or more elements"):
+                partition_min_table(ground, cost, proper=True)
 
 
 def test_certificate_compares_blocks_as_index_tuples():

@@ -8,6 +8,7 @@ from omnirate import (
     Game,
     RateVector,
     convex_characteristic,
+    core_nonempty,
     dilworth_truncate,
     min_partition_sum,
     min_sum_rate_asymptotic,
@@ -20,6 +21,7 @@ from oracles import (
     check_submodular,
     check_supermodular,
     cores_equal,
+    random_entropy_table,
     random_packet_model,
     random_rate_vector,
 )
@@ -134,6 +136,24 @@ def test_integer_models_stay_integer():
         alpha = min_sum_rate_non_asymptotic(model).r_co
         trunc = dilworth_truncate(Game(model, alpha))
         assert all(v.denominator == 1 for v in trunc.values.values())
+
+
+def test_int_table_is_the_fraction_view_and_decides_nonemptiness():
+    # table[X] / den is what the allocators read; values is the Fraction view
+    rng = random.Random(79)
+    empty = 0
+    for n in range(2, 8):
+        for model in (random_packet_model(rng, n_users=n), random_entropy_table(rng, n)):
+            r_co = min_sum_rate_asymptotic(model).r_co
+            for alpha in (r_co + F(1, 3), r_co, r_co - F(1, 7)):
+                game = Game(model, max(alpha, F(0)))
+                trunc = dilworth_truncate(game)
+                for x in subsets(model.full_mask):
+                    assert F(trunc.table[x], trunc.den) == trunc.values[x]
+                assert trunc.core_nonempty == core_nonempty(game).nonempty
+                assert trunc.core_nonempty == (game.alpha >= r_co)
+                empty += not trunc.core_nonempty
+    assert empty >= 10
 
 
 def test_cores_equal_on_example(example1):
