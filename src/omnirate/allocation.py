@@ -128,8 +128,9 @@ def greedy_vertices(
     return out, partial
 
 
-def enumerate_integer_core(game: Game) -> list[RateVector]:
-    """Every integer rate vector in the core, in ascending lexicographic order.
+def enumerate_integer_core(game: Game) -> list[tuple[int, ...]]:
+    """Every integer rate vector in the core, in ascending lexicographic order,
+    as tuples of ints indexed like the model's users.
 
     Only defined when alpha and all dual values are integers (packet-style
     models); refuses otherwise.
@@ -174,17 +175,14 @@ def enumerate_integer_core(game: Game) -> list[RateVector]:
     # s[Y] = r(Y) for every Y among the users fixed so far; the masks of
     # "Y plus user i" for Y within users 0..i-1 are the slice [bit, 2*bit).
     s = [0] * (full + 1)
-    # every entry of an output vector lies in 0..alpha
-    as_fraction = [Fraction(v) for v in range(alpha + 1)]
-    out: list[RateVector] = []
+    out: list[tuple[int, ...]] = []
     stack: list[int] = []
 
     def walk(bit: int) -> None:
         if bit == last:
             v = alpha - s[bit - 1]
             if v >= 0:
-                rates = tuple(map(as_fraction.__getitem__, stack)) + (as_fraction[v],)
-                out.append(RateVector(rates))
+                out.append((*stack, v))
             return
         prefix = s[:bit]
         lo = max(0, max(map(sub, lower[bit : 2 * bit], prefix)))
@@ -203,10 +201,11 @@ def jain_index(r: Iterable[Fraction] | RateVector) -> Fraction:
     """Jain fairness of a rate vector: (sum r)^2 / (n * sum r^2), 1 = uniform.
 
     Exact: the rates are scaled to integers over their common denominator,
-    which cancels from the ratio.
+    which cancels from the ratio. Int rates are used as they are.
     """
-    rates = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in r]
-    scaled, _ = to_ints(rates)
+    scaled = list(r)
+    if not all(type(x) is int for x in scaled):
+        scaled, _ = to_ints([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in scaled])
     square_sum = sum(a * a for a in scaled)
     if square_sum == 0:
         raise ValueError("Jain index is undefined for the all-zero vector")
@@ -216,7 +215,7 @@ def jain_index(r: Iterable[Fraction] | RateVector) -> Fraction:
 
 def jain_or_none(rates: Sequence[Fraction] | RateVector) -> Fraction | None:
     """Jain index, or None for the all-zero vector (where it is undefined)."""
-    return jain_index(rates) if any(x != 0 for x in rates) else None
+    return jain_index(rates) if any(rates) else None
 
 
 def fairness_compare(candidates: Sequence[Allocation]) -> list[Allocation]:

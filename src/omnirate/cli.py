@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -24,6 +25,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import __version__
@@ -78,8 +80,8 @@ def _q(x: Fraction) -> dict:
 def _qv(rates) -> dict:
     rates = list(rates)
     return {
-        "rational": [format_rational(r) for r in rates],
-        "decimal": [float(r) for r in rates],
+        "rational": list(map(format_rational, rates)),
+        "decimal": list(map(float, rates)),
     }
 
 
@@ -91,13 +93,18 @@ def _subset_json(model: SourceModel, mask: int) -> list[str]:
     return list(model.ids_from_mask(mask))
 
 
-def _allocation_json(model: SourceModel, alloc: Allocation) -> dict:
+def _allocation_json(method: str, order: list[str] | None, rates, jain) -> dict:
     return {
-        "method": alloc.method,
-        "order": [model.users[i] for i in alloc.order] if alloc.order is not None else None,
-        "rates": _qv(alloc.rates),
-        "jain": _q(alloc.jain) if alloc.jain is not None else None,
+        "method": method,
+        "order": order,
+        "rates": _qv(rates),
+        "jain": _q(jain) if jain is not None else None,
     }
+
+
+def _vertex_json(model: SourceModel, alloc: Allocation) -> dict:
+    order = [model.users[i] for i in alloc.order] if alloc.order is not None else None
+    return _allocation_json(alloc.method, order, alloc.rates, alloc.jain)
 
 
 def _check_user_guard(model: SourceModel) -> None:
@@ -308,7 +315,7 @@ def cmd_allocate(args) -> tuple[dict, int]:
         except CoreEmptyError:
             code = core_empty_payload()
         else:
-            out["results"]["allocations"] = [_allocation_json(model, a) for a in allocs]
+            out["results"]["allocations"] = [_vertex_json(model, a) for a in allocs]
             out["results"]["partial"] = partial
             out["results"]["in_core"] = [bool(in_core(game, a.rates)) for a in allocs]
     else:  # enumerate
@@ -317,8 +324,7 @@ def cmd_allocate(args) -> tuple[dict, int]:
         except IntegralityError as exc:
             raise CliError(EXIT_INAPPLICABLE, str(exc)) from exc
         out["results"]["allocations"] = [
-            _allocation_json(model, Allocation(r, "enumerated", None, jain_or_none(r)))
-            for r in vectors
+            _allocation_json("enumerated", None, r, jain_or_none(r)) for r in vectors
         ]
         out["results"]["count"] = len(vectors)
         if not vectors:
@@ -402,6 +408,52 @@ def _emit_csv(report: dict, out: io.TextIOBase) -> None:
         writer.writerow([key, json.dumps(value) if isinstance(value, (list, dict)) else value])
 
 
+# JSON text of each scalar type a report holds, exactly as json.dumps writes it
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a report value.
+
+    The domain is what reports hold: dicts with str keys, lists, and the
+    scalars str, int, bool, None and finite float. No non-finite float
+    arises, since float() of an out-of-range Fraction raises OverflowError
+    (exit 1 in :func:`run`). Scalars go through the encoders json.dumps
+    itself uses; a scalar dict value is written inline, and a list whose
+    items share one scalar type is joined with one map. ``newline`` is the
+    line break plus the indentation of the enclosing level.
+    """
+    kind = type(value)
+    inner = newline + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            scalar = _SCALAR_JSON.get(type(item))
+            text = scalar(item) if scalar else json_text(item, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        scalar = _SCALAR_JSON.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, value) if scalar else [json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    scalar = _SCALAR_JSON.get(kind)
+    if scalar is None:
+        raise TypeError(f"{kind.__name__} is not a report value")
+    return scalar(value)
+
+
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omnirate",
@@ -491,7 +543,7 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     if args.format == "csv":
         _emit_csv(report, out)
     else:
-        print(json.dumps(report, indent=2), file=out)
+        out.write(json_text(report) + "\n")
     return code
 
 

@@ -26,16 +26,20 @@ def subsets(ground: int, *, nonempty: bool = False, proper: bool = False) -> Ite
     """Enumerate sub-masks of ``ground`` exactly once, ascending.
 
     ``nonempty`` skips the empty set, ``proper`` skips ``ground`` itself.
+    Steps by ``x = (x - ground) & ground``, the next larger sub-mask.
     """
-    positions = list(bits(ground))
-    m = len(positions)
-    start = 1 if nonempty else 0
-    stop = (1 << m) - (1 if proper else 0)
-    for k in range(start, stop):
-        sub = 0
-        for j in bits(k):
-            sub |= 1 << positions[j]
-        yield sub
+    if proper:
+        if not ground:
+            return
+        last = ground & (ground - 1)  # the largest proper sub-mask: drop the lowest bit
+    else:
+        last = ground
+    x = 0
+    if not nonempty:
+        yield 0
+    while x != last:
+        x = (x - ground) & ground
+        yield x
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,11 @@ class EntropyTable(SourceModel):
         unit: str | None = None,
     ):
         super().__init__(users, unit)
-        table = {int(m): Fraction(v) for m, v in values.items()}
-        missing = [m for m in subsets(self.full_mask) if m not in table]
+        # a Fraction is kept as it is: Fraction(v) would recheck it against
+        # numbers.Rational, entry by entry
+        table = {int(m): v if type(v) is Fraction else Fraction(v) for m, v in values.items()}
+        full = self.full_mask
+        missing = [m for m in range(full + 1) if m not in table]
         if missing:
             names = ", ".join(
                 "{" + ",".join(self.ids_from_mask(m)) + "}" for m in missing[:5]
@@ -168,7 +171,7 @@ class EntropyTable(SourceModel):
             raise ModelFormatError(
                 f"entropy table is missing {len(missing)} subset(s), e.g. {names}"
             )
-        extra = set(table) - set(subsets(self.full_mask))
+        extra = [m for m in table if m < 0 or m & ~full]
         if extra:
             raise ModelFormatError(f"entropy table has {len(extra)} entries outside the user set")
         self._table = table
@@ -356,12 +359,16 @@ def _canonical_model_dict(model: SourceModel) -> dict:
             "users": {u: sorted(ps) for u, ps in zip(model.users, model.packet_sets)},
         }
     else:
+        # ids[x] lists the users in mask x: the masks with user u are those
+        # without it, plus u
+        ids: list[list[str]] = [[]]
+        for u in model.users:
+            ids += [t + [u] for t in ids]
         body = {
             "type": "entropy",
             "users": list(model.users),
             "entries": [
-                {"set": list(model.ids_from_mask(x)), "H": format_rational(model.entropy(x))}
-                for x in subsets(model.full_mask)
+                {"set": t, "H": format_rational(model.entropy(x))} for x, t in enumerate(ids)
             ],
         }
     if model.unit is not None:

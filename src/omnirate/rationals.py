@@ -55,9 +55,10 @@ def _check_digits(text: str) -> None:
         raise ValueError(f"rational {text[:40]!r} has too many digits (limit {limit})")
 
 
-def format_rational(x: Fraction) -> str:
-    """Lowest-terms "p/q" string ("4" when the denominator is 1)."""
-    return str(x if isinstance(x, Fraction) else Fraction(x))
+def format_rational(x: Fraction | int) -> str:
+    """Lowest-terms "p/q" string ("4" when the denominator is 1). An int is
+    printed as it is, with no Fraction built."""
+    return str(x) if type(x) in (Fraction, int) else str(Fraction(x))
 
 
 def to_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -41,6 +41,18 @@ def set_partitions(items):
         yield smaller + [[first]]
 
 
+def scatter_subsets(ground: int, *, nonempty: bool = False, proper: bool = False) -> list[int]:
+    """Sub-masks of ``ground``, ascending: each k in 0 .. 2^m - 1 with its
+    bits scattered onto the m set positions of ``ground``, in order.
+    ``nonempty`` drops k = 0, ``proper`` drops k = 2^m - 1 (ground itself)."""
+    positions = [i for i in range(ground.bit_length()) if ground >> i & 1]
+    m = len(positions)
+    out = []
+    for k in range(1 if nonempty else 0, (1 << m) - (1 if proper else 0)):
+        out.append(sum(1 << positions[j] for j in range(m) if k >> j & 1))
+    return out
+
+
 def bell_number(n: int) -> int:
     return sum(1 for _ in set_partitions(list(range(n))))
 

@@ -4,8 +4,10 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omnirate.cli import run
+from omnirate.cli import build_parser, json_text, run
 
 
 def cli(*argv):
@@ -13,7 +15,78 @@ def cli(*argv):
     code = run(list(argv), out=out, err=err)
     text = out.getvalue()
     report = json.loads(text) if text.strip().startswith("{") else None
+    if report is not None:
+        # the printed bytes themselves, not only what they parse to, must be
+        # json.dumps(indent=2) of the report: the golden cases below go
+        # through here, so a layout drift fails them
+        assert text == json.dumps(report, indent=2) + "\n"
     return code, report, text, err.getvalue()
+
+
+# The emitter's domain: what a report can hold. Keys and strings include
+# non-ASCII and control characters; floats are finite (float() of a Fraction
+# out of range raises OverflowError, which run maps to exit 1).
+_report_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 5e-324, 0.1]),
+    st.text(),
+)
+# lists of one scalar type take the emitter's one-map path
+_uniform_lists = st.one_of(
+    st.lists(st.integers()),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    st.lists(st.text()),
+    st.lists(st.booleans()),
+    st.lists(st.none()),
+)
+_report_values = st.recursive(
+    st.one_of(_report_scalars, _uniform_lists),
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=15,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_report_values)
+def test_json_text_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_fixed_cases():
+    for value in (
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}]},
+        {"\u00e9\x00\n\t\"\\": ["\U0001f600", "\x1f", "\u2028"]},
+        [True, 1, 1.0, None, "1", [False], {"k": 0}],
+        [-0.0, 1e300, 5e-324, 10**30, -(10**30)],
+    ):
+        assert json_text(value) == json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        json_text({"rates": (1, 2)})
+
+
+def test_cached_parser_keeps_no_state(example1_path):
+    # one parser serves every run in a process; no flag may leak between runs
+    assert build_parser() is build_parser()
+    argv = ("allocate", example1_path, "--alpha", "4", "--method", "greedy")
+    code, report, _, _ = cli(*argv, "--seed", "3")
+    assert code == 0 and report["inputs"]["seed"] == 3
+    code, report, _, _ = cli(*argv)
+    assert code == 0 and "seed" not in report["inputs"]
+
+    code, report, _, _ = cli("allocate", example1_path, "--alpha", "4", "--method", "bogus")
+    assert (code, report) == (1, None)
+    code, report, _, _ = cli("minrate", example1_path)
+    assert code == 0 and report["results"]["r_co"]["rational"] == "7/2"
+
+    code, report, text, _ = cli("minrate", example1_path, "--format", "csv")
+    assert (code, report) == (0, None) and text.startswith("key,value\n")
+    code, report, _, _ = cli("minrate", example1_path)
+    assert code == 0 and report["inputs"]["format"] == "json"
 
 
 def test_validate_example(example1_path):

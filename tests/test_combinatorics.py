@@ -13,6 +13,7 @@ from oracles import (
     brute_min_partition,
     mask_from_indices,
     partitions,
+    scatter_subsets,
     set_partitions,
 )
 
@@ -37,6 +38,15 @@ def test_subsets_ascending_and_unique():
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen)) == 2 ** ground.bit_count()
     assert all(s & ~ground == 0 for s in seen)
+
+
+@pytest.mark.parametrize("nonempty", [False, True])
+@pytest.mark.parametrize("proper", [False, True])
+def test_subsets_match_bit_scatter_oracle(nonempty, proper):
+    # every ground below 2^9, holes and the empty ground included
+    for ground in range(1 << 9):
+        got = list(subsets(ground, nonempty=nonempty, proper=proper))
+        assert got == scatter_subsets(ground, nonempty=nonempty, proper=proper), ground
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,22 @@ def test_missing_entries_are_a_format_error():
         EntropyTable(["1", "2"], {0: Fraction(0), 0b11: Fraction(2)})
 
 
+def test_entries_outside_the_user_set_are_a_format_error():
+    vals = {0: Fraction(0), 0b01: Fraction(1), 0b10: Fraction(1), 0b11: Fraction(2)}
+    for extra in ({0b100: Fraction(1)}, {-1: Fraction(1)}, {0b100: Fraction(1), 0b111: Fraction(3)}):
+        with pytest.raises(ModelFormatError, match=f"has {len(extra)} entries outside the user set"):
+            EntropyTable(["1", "2"], {**vals, **extra})
+
+
+def test_entropy_table_keeps_fraction_values():
+    vals = {0: Fraction(0), 0b01: Fraction(1, 2), 0b10: Fraction(1, 3), 0b11: Fraction(5, 6)}
+    table = EntropyTable(["1", "2"], vals)
+    assert all(table.entropy(m) is v for m, v in vals.items())
+    # other rationals are converted
+    table = EntropyTable(["1", "2"], {0: 0, 0b01: 1, 0b10: 1, 0b11: 2})
+    assert all(type(table.entropy(m)) is Fraction for m in range(4))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**9))
 def test_random_packet_models_are_polymatroids(seed):
