@@ -291,6 +291,32 @@ MEMBERSHIP_GOLDEN_CASES = [
 ]
 
 
+# The same witness kinds on the fractional 6-user table, at alpha = R_CO =
+# 117/4 (the member is its Shapley vector) and, for --integer, at 30.
+MEMBERSHIP_ENTROPY_GOLDEN_CASES = [
+    (
+        "core member",
+        ("core", "--alpha", "117/4", "--rates", "11/4,1357/240,31/20,407/240,3137/240,1087/240"),
+    ),
+    (
+        "core coalition failure",
+        ("core", "--alpha", "117/4", "--rates", "3,1357/240,31/20,407/240,3137/240,1027/240"),
+    ),
+    (
+        "core sum failure",
+        ("core", "--alpha", "117/4", "--rates", "11/4,1357/240,31/20,407/240,3137/240,1"),
+    ),
+    (
+        "core integer member",
+        ("core", "--alpha", "30", "--rates", "3,6,2,2,13,4", "--integer"),
+    ),
+    (
+        "core fractional failure",
+        ("core", "--alpha", "30", "--rates", "5/2,13/2,2,2,13,4", "--integer"),
+    ),
+]
+
+
 def golden_reports_text(data_dir: str, model: str, cases=None) -> str:
     """Exit code, results and certificates of every case, as pinned on disk."""
     path = os.path.join(data_dir, model + ".json")
@@ -318,6 +344,29 @@ def test_membership_and_polyhedron_golden(example1_path):
     path = os.path.join(data_dir, "golden", "membership_example1.json")
     with open(path, encoding="utf-8") as fh:
         assert golden_reports_text(data_dir, "example1", MEMBERSHIP_GOLDEN_CASES) == fh.read()
+
+
+def test_membership_entropy_golden(example1_path):
+    data_dir = os.path.dirname(example1_path)
+    path = os.path.join(data_dir, "golden", "membership_entropy_n6.json")
+    with open(path, encoding="utf-8") as fh:
+        assert golden_reports_text(data_dir, "entropy_n6", MEMBERSHIP_ENTROPY_GOLDEN_CASES) == fh.read()
+
+
+def golden_digest_text(data_dir: str) -> str:
+    """The digest and validation of a table whose "H" strings are not in
+    lowest terms ("2.50", "10/4", "-0", "1e1", " 3 ", "+12.5", Arabic-Indic
+    digits): the digest hashes the canonical values, not the file's text."""
+    code, report, _, _ = cli("validate", os.path.join(data_dir, "noncanonical_entropy_n3.json"))
+    pinned = {"exit": code, "model_digest": report["model_digest"], "results": report["results"]}
+    return json.dumps(pinned, indent=2) + "\n"
+
+
+def test_noncanonical_digest_golden(example1_path):
+    data_dir = os.path.dirname(example1_path)
+    path = os.path.join(data_dir, "golden", "digest_noncanonical_entropy_n3.json")
+    with open(path, encoding="utf-8") as fh:
+        assert golden_digest_text(data_dir) == fh.read()
 
 
 # Validation reports list every violation with its detail string; one valid
