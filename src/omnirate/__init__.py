@@ -39,7 +39,6 @@ from .game import (
     RateVector,
     dual_membership,
     in_core,
-    satisfies_slepian_wolf,
 )
 from .models import (
     EntropyTable,
@@ -115,7 +114,6 @@ __all__ = [
     "model_from_dict",
     "parse_rational",
     "partition_min_table",
-    "satisfies_slepian_wolf",
     "shapley",
     "subsets",
     "validate_polymatroid",

@@ -16,6 +16,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -524,7 +525,10 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors to sys.stderr and --version or --help
+        # to sys.stdout; send them to the caller's streams
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors, which collides with our
         # invalid-model code; remap to the input-error code.

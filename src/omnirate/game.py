@@ -1,14 +1,16 @@
 """The coalitional game on a source model: characteristic function, dual, and
-membership tests for the rate polyhedra and the core, all on one subset loop."""
+membership tests for the core in both forms, on one integer subset loop."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from typing import Callable, Iterable
+from operator import gt, indexOf, lt
+from typing import Iterable
 
-from .combinatorics import bits, subsets
+from .combinatorics import bits
 from .models import SourceModel
 from .rationals import format_rational
 
@@ -85,8 +87,9 @@ class Game:
         d[X] / den, with f#(X) = alpha - H(V) + H(X) for nonempty X, f#(empty) = 0."""
         den = lcm(self._h_den, self.alpha.denominator)
         scale = den // self._h_den
-        h_total = self._h[self.full_mask]
-        dual = [int(self.alpha * den) - (h_total - h) * scale for h in self._h]
+        # alpha - H(V) + H(X), with alpha - H(V) scaled once
+        base = self.alpha.numerator * (den // self.alpha.denominator) - self._h[-1] * scale
+        dual = [base + h * scale for h in self._h]
         dual[0] = 0
         return dual, den
 
@@ -114,51 +117,50 @@ _OK = Decision(True)
 def _check_coalitions(
     model: SourceModel,
     r: RateVector,
-    bound: Callable[[int], Fraction],
+    bound: list[int],
+    den: int,
     label: str,
-    alpha: Fraction | None = None,
+    alpha: Fraction,
     upper: bool = False,
 ) -> Decision:
-    """The membership loop of the three checks below: arity, then r(V) = alpha
-    if ``alpha`` is given, then the first proper X in ascending mask order with
-    r(X) < bound(X) (r(X) > bound(X) if ``upper``); ``label`` names the bound.
+    """The membership loop of the two checks below: arity, then r(V) = alpha,
+    then the first proper X in ascending mask order with r(X) < bound[X] / den
+    (r(X) > bound[X] / den if ``upper``); ``label`` names the bound. Runs on
+    ints: the rates and the bound are scaled to one denominator once, and
+    only a failure's detail is printed from Fractions.
     """
     if len(r) != model.n:
         raise ValueError(f"rate vector has {len(r)} entries for {model.n} users")
     full = model.full_mask
-    sums = [Fraction(0)] * (full + 1)
-    for x in subsets(full, nonempty=True):
-        low = x & -x
-        sums[x] = sums[x ^ low] + r[low.bit_length() - 1]
-    if alpha is not None and sums[full] != alpha:
+    unit = lcm(den, *(x.denominator for x in r))
+    # sums[X] = r(X) * unit: the masks with user i are those without it, plus i
+    sums = [0]
+    for x in r:
+        step = x.numerator * (unit // x.denominator)
+        sums += [s + step for s in sums]
+    if sums[full] * alpha.denominator != alpha.numerator * unit:
         return Decision(
             False,
             "sum",
             full,
-            f"r(V)={format_rational(sums[full])} != alpha={format_rational(alpha)}",
+            f"r(V)={format_rational(Fraction(sums[full], unit))} != alpha={format_rational(alpha)}",
         )
-    for x in subsets(full, nonempty=True, proper=True):
-        b = bound(x)
-        if sums[x] > b if upper else sums[x] < b:
-            return Decision(
-                False,
-                "upper" if upper else "coalition",
-                x,
-                f"r(X)={format_rational(sums[x])} {'>' if upper else '<'} "
-                f"{label}{format_rational(b)} for X={{{','.join(model.ids_from_mask(x))}}}",
-            )
-    return _OK
-
-
-def satisfies_slepian_wolf(model: SourceModel, r: RateVector) -> Decision:
-    """Do the rates cover every proper coalition's missing information?
-
-    Checks r(X) >= H(Z_X | Z_{V\\X}) for all proper X; a failing X is returned
-    as witness.
-    """
-    full = model.full_mask
-    h_total = model.entropy(full)
-    return _check_coalitions(model, r, lambda x: h_total - model.entropy(full & ~x), "")
+    scale = unit // den
+    if scale != 1:
+        bound = [b * scale for b in bound]
+    fails = map(gt if upper else lt, islice(sums, 1, full), islice(bound, 1, full))
+    try:
+        x = indexOf(fails, True) + 1
+    except ValueError:
+        return _OK
+    return Decision(
+        False,
+        "upper" if upper else "coalition",
+        x,
+        f"r(X)={format_rational(Fraction(sums[x], unit))} {'>' if upper else '<'} "
+        f"{label}{format_rational(Fraction(bound[x], unit))} "
+        f"for X={{{','.join(model.ids_from_mask(x))}}}",
+    )
 
 
 def in_core(game: Game, r: RateVector, integer_mode: bool = False) -> Decision:
@@ -167,7 +169,10 @@ def in_core(game: Game, r: RateVector, integer_mode: bool = False) -> Decision:
     With ``integer_mode`` every rate must also be an integer. The failure
     reported is the first of: sum, fractional rate, coalition.
     """
-    decision = _check_coalitions(game.model, r, game.char_value, "f(X)=", game.alpha)
+    h, den = game.model.entropy_table
+    # f(X) = H(V) - H(V minus X) for proper X; h[-1] is H(V)
+    bound = [h[-1] - v for v in reversed(h)]
+    decision = _check_coalitions(game.model, r, bound, den, "f(X)=", game.alpha)
     if integer_mode and decision.kind != "sum":
         for i, x in enumerate(r):
             if x.denominator != 1:
@@ -181,4 +186,5 @@ def dual_membership(game: Game, r: RateVector) -> Decision:
     The same polyhedron as :func:`in_core` without ``integer_mode``, so the
     two agree on every vector; exposed so that duality can be checked directly.
     """
-    return _check_coalitions(game.model, r, game.dual_value, "f#(X)=", game.alpha, upper=True)
+    dual, den = game.dual_ints()
+    return _check_coalitions(game.model, r, dual, den, "f#(X)=", game.alpha, upper=True)

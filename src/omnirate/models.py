@@ -32,11 +32,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import ge, itemgetter, sub
+from itertools import chain, islice
+from math import gcd, lcm
+from operator import ge, sub
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import bits, subsets
-from .rationals import format_rational, parse_rational, to_ints
+from .rationals import format_rational, parse_pair, to_ints
 
 
 class ModelFormatError(ValueError):
@@ -143,7 +145,8 @@ class PacketModel(SourceModel):
 
 
 class EntropyTable(SourceModel):
-    """Explicit rational entropy for every subset of the user set.
+    """Explicit rational entropy for every subset of the user set, held as
+    the one integer table ``entropy_table`` = ``(h, den)``: H(X) = h[X] / den.
 
     The constructor only checks structural completeness; call
     :func:`validate_polymatroid` (or load with ``validate=True``) to check
@@ -159,26 +162,50 @@ class EntropyTable(SourceModel):
         unit: str | None = None,
     ):
         super().__init__(users, unit)
-        # a Fraction is kept as it is: Fraction(v) would recheck it against
-        # numbers.Rational, entry by entry
-        table = {int(m): v if type(v) is Fraction else Fraction(v) for m, v in values.items()}
+        table = {int(m): v if type(v) in (Fraction, int) else Fraction(v) for m, v in values.items()}
+        self._check_subsets(table)
+        self._table = to_ints([table[m] for m in range(self.full_mask + 1)])
+
+    @classmethod
+    def from_pairs(
+        cls,
+        users: Sequence[str],
+        pairs: Mapping[int, tuple[int, int]],
+        unit: str | None = None,
+    ) -> "EntropyTable":
+        """The table with H(X) = p / q for ``pairs[X] = (p, q)``, q > 0, built
+        on ints: no Fraction per entry."""
+        model = cls.__new__(cls)
+        SourceModel.__init__(model, users, unit)
+        model._check_subsets(pairs)
+        den = lcm(*(q for _, q in pairs.values()))
+        h = [p * (den // q) for p, q in map(pairs.__getitem__, range(model.full_mask + 1))]
+        model._table = h, den
+        return model
+
+    def _check_subsets(self, table: Mapping[int, object]) -> None:
         full = self.full_mask
-        missing = [m for m in range(full + 1) if m not in table]
-        if missing:
-            names = ", ".join(
-                "{" + ",".join(self.ids_from_mask(m)) + "}" for m in missing[:5]
-            )
-            raise ModelFormatError(
-                f"entropy table is missing {len(missing)} subset(s), e.g. {names}"
-            )
         extra = [m for m in table if m < 0 or m & ~full]
+        # every mask not in the table is missing: count them without a scan
+        # of all 2^n masks, and name the first five
+        missing = full + 1 - (len(table) - len(extra))
+        if missing:
+            first = islice((m for m in range(full + 1) if m not in table), 5)
+            names = ", ".join("{" + ",".join(self.ids_from_mask(m)) + "}" for m in first)
+            raise ModelFormatError(
+                f"entropy table is missing {missing} subset(s), e.g. {names}"
+            )
         if extra:
             raise ModelFormatError(f"entropy table has {len(extra)} entries outside the user set")
-        self._table = table
+
+    @property
+    def entropy_table(self) -> tuple[list[int], int]:
+        return self._table
 
     def entropy(self, mask: int) -> Fraction:
         self._check_mask(mask)
-        return self._table[mask]
+        h, den = self._table
+        return Fraction(h[mask], den)
 
 
 @dataclass(frozen=True)
@@ -203,11 +230,12 @@ class ValidationReport:
 def validate_polymatroid(model: SourceModel) -> ValidationReport:
     """Check that the model's entropy function is a polymatroid rank function.
 
-    A pass costs O(n^2 * 2^n) integer comparisons on ``model.entropy_table``:
-    H(empty) = 0, single-step monotonicity H(X+i) >= H(X), and the elementary
-    inequalities H(X+i) + H(X+j) >= H(X+i+j) + H(X) for i != j outside X,
-    which imply submodularity on every pair (Fujishige, *Submodular Functions
-    and Optimization*). Only a table that fails them pays for the full scan,
+    A pass costs n*2^(n-1) + n(n-1)/2 * 2^(n-2) integer comparisons on
+    ``model.entropy_table``, each side taken by list slicing: H(empty) = 0,
+    single-step monotonicity H(X+i) >= H(X), and the elementary inequalities
+    H(X+i) + H(X+j) >= H(X+i+j) + H(X) for i < j outside X, which imply
+    submodularity on every pair (Fujishige, *Submodular Functions and
+    Optimization*). Only a table that fails them pays for the full scan,
     which lists every violation: H(empty) != 0, every failing single-element
     step, and every unordered incomparable pair with H(X)+H(Y) <
     H(X|Y)+H(X&Y) (comparable pairs hold with equality). An empty report is
@@ -220,18 +248,47 @@ def validate_polymatroid(model: SourceModel) -> ValidationReport:
 
 
 def _is_polymatroid(h: list[int], n: int) -> bool:
-    # For user i, gain[X] = h(X+i) - h(X) (0 when i is in X). The
-    # conditions are gain[X] >= gain[X+j] for every j: j = i is single-step
-    # monotonicity (gain[X+i] = 0), j != i the elementary inequality.
+    # For user i, gain[X] = h(X+i) - h(X) on the masks X without i. The
+    # table passes iff h(empty) = 0, every gain is >= 0 (single-step
+    # monotonicity) and gain[X] >= gain[X+j] for every j > i and X without
+    # i and j (the elementary inequality, symmetric in i and j).
     if h[0] != 0:
         return False
-    size = len(h)
-    grow = [itemgetter(*[x | 1 << j for x in range(size)]) for j in range(n)]
-    for grow_i in grow:
-        gain = list(map(sub, grow_i(h), h))
-        if not all(all(map(ge, gain, grow_j(gain))) for grow_j in grow):
+    for i in range(n):
+        without, with_i, rotated = _halves(h, i)
+        gain = list(map(sub, with_i, without))
+        if min(gain) < 0:
             return False
+        for j in range(i + 1, n):
+            # where bit j of a mask sits in the index of gain
+            without, with_j, _ = _halves(gain, j - i - 1 if rotated else j - 1)
+            if not all(map(ge, without, with_j)):
+                return False
     return True
+
+
+def _halves(values: list[int], k: int):
+    """The entries of ``values`` (indexed by 2^m masks) whose index has bit k
+    clear and those with it set, as two iterators in matching order, taken
+    by slicing.
+
+    Blocks of 2^k entries alternate between the two; with few blocks they
+    are sliced as blocks, which keeps the order of the other bits. With few
+    offsets below 2^k, each offset's entries are a strided slice; then the
+    ``rotated`` order has the bits above k first (bit k + 1 + t at index bit
+    t) and the bits below k after them (bit t at index bit m - 1 - k + t).
+    """
+    low = 1 << k
+    step = low << 1
+    size = len(values)
+    if low * step <= size:  # no more offsets than blocks
+        off = (values[s::step] for s in range(low))
+        on = (values[s::step] for s in range(low, step))
+        return chain.from_iterable(off), chain.from_iterable(on), True
+    starts = range(0, size, step)
+    off = (values[s : s + low] for s in starts)
+    on = (values[s + low : s + step] for s in starts)
+    return chain.from_iterable(off), chain.from_iterable(on), False
 
 
 def _scan_violations(model: SourceModel) -> ValidationReport:
@@ -296,37 +353,44 @@ def model_from_dict(obj: object) -> SourceModel:
         entries = obj.get("entries")
         if not isinstance(entries, list):
             raise ModelFormatError("entropy model needs an \"entries\" list")
-        index = {u: i for i, u in enumerate(users)}
-        if len(index) != len(users):
+        bit = {u: 1 << i for i, u in enumerate(users)}
+        if len(bit) != len(users):
             raise ModelFormatError("duplicate user ids")
-        values: dict[int, Fraction] = {}
+        pairs: dict[int, tuple[int, int]] = {}
         for entry in entries:
             if not isinstance(entry, dict) or "set" not in entry or "H" not in entry:
                 raise ModelFormatError(f"bad entropy entry: {entry!r}")
             ids = entry["set"]
-            if not isinstance(ids, list) or not all(isinstance(u, str) for u in ids):
+            if not isinstance(ids, list):
                 raise ModelFormatError(f"bad subset in entry: {entry!r}")
             mask = 0
-            for u in ids:
-                if u not in index:
-                    raise ModelFormatError(f"unknown user id {u!r} in entry")
-                mask |= 1 << index[u]
-            if mask in values:
+            try:
+                for u in ids:
+                    mask |= bit[u]
+            except (KeyError, TypeError):
+                # a non-string id is reported first, then the first unknown one
+                if not all(isinstance(u, str) for u in ids):
+                    raise ModelFormatError(f"bad subset in entry: {entry!r}") from None
+                unknown = next(u for u in ids if u not in bit)
+                raise ModelFormatError(f"unknown user id {unknown!r} in entry") from None
+            if mask in pairs:
                 raise ModelFormatError(f"duplicate entry for subset {ids!r}")
             try:
-                values[mask] = parse_rational(entry["H"])
+                pairs[mask] = parse_pair(entry["H"])
             except ValueError as exc:
                 raise ModelFormatError(str(exc)) from None
-        return EntropyTable(users, values, unit)
+        return EntropyTable.from_pairs(users, pairs, unit)
     raise ModelFormatError(f"unknown model type {kind!r} (expected \"packets\" or \"entropy\")")
 
 
 def _reject_duplicate_keys(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ModelFormatError(f"duplicate key {key!r} in model file")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ModelFormatError(f"duplicate key {key!r} in model file")
+            seen.add(key)
     return out
 
 
@@ -364,16 +428,21 @@ def _canonical_model_dict(model: SourceModel) -> dict:
         ids: list[list[str]] = [[]]
         for u in model.users:
             ids += [t + [u] for t in ids]
+        h, den = model.entropy_table
         body = {
             "type": "entropy",
             "users": list(model.users),
-            "entries": [
-                {"set": t, "H": format_rational(model.entropy(x))} for x, t in enumerate(ids)
-            ],
+            "entries": [{"set": t, "H": _ratio_text(v, den)} for v, t in zip(h, ids)],
         }
     if model.unit is not None:
         body["unit"] = model.unit
     return body
+
+
+def _ratio_text(num: int, den: int) -> str:
+    # format_rational(Fraction(num, den)), with no Fraction built
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def model_digest(model: SourceModel) -> str:

@@ -4,15 +4,21 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 # CPython's default int/str conversion limit, for interpreters that set none
 _DEFAULT_MAX_DIGITS = 4300
 
+# Strings shorter than this may take the fast path of parse_pair: no
+# int/str digit limit is lower (CPython refuses a nonzero limit below 640),
+# so int() accepts both sides and the digit check below cannot refuse them.
+_FAST_LEN = 640
 
-def parse_rational(value: int | str) -> Fraction:
-    """Convert a JSON/CLI number to an exact Fraction.
+
+def parse_pair(value: int | str) -> tuple[int, int]:
+    """Convert a JSON/CLI number to its exact value as a reduced
+    ``(numerator, denominator)`` pair, with a positive denominator.
 
     Accepts ints and strings of the form "p/q" or a decimal like "2.5"
     (converted exactly). Floats are rejected: binary floats would poison
@@ -21,7 +27,32 @@ def parse_rational(value: int | str) -> Fraction:
     text (``sys.get_int_max_str_digits()``, 4300 by default), checked
     before the Fraction is built: reports could not print it, and an
     exponent like "1e999999999" would build a huge int first.
+
+    ASCII "p", "-p" and "p/q" strings are read with ``int()`` and ``gcd``;
+    every other input goes through ``Fraction``'s own grammar.
     """
+    if type(value) is str and value.isascii() and len(value) < _FAST_LEN:
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit():
+                p, q = int(num), int(den)
+                if q:
+                    g = gcd(p, q)
+                    return p // g, q // g
+    x = _parse_fraction(value)
+    return x.numerator, x.denominator
+
+
+def parse_rational(value: int | str) -> Fraction:
+    """:func:`parse_pair`'s value as a Fraction, so that CLI flags and model
+    files share one grammar, one digit-limit refusal and one set of error
+    messages."""
+    return Fraction(*parse_pair(value))
+
+
+def _parse_fraction(value: int | str) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):

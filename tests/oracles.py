@@ -15,6 +15,7 @@ from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
 from omnirate import (
+    Decision,
     EntropyTable,
     Game,
     PacketModel,
@@ -22,6 +23,7 @@ from omnirate import (
     RateVector,
     TruncatedDual,
     bits,
+    format_rational,
     greedy_marginals,
     in_core,
     subsets,
@@ -347,3 +349,69 @@ def brute_shapley(trunc: TruncatedDual) -> tuple[Fraction, ...]:
             acc += weight * (trunc.values[x | bit] - trunc.values[x])
         rates.append(acc)
     return tuple(rates)
+
+
+def fraction_check_coalitions(
+    model,
+    r: RateVector,
+    bound: Callable[[int], Fraction],
+    label: str,
+    alpha: Fraction | None = None,
+    upper: bool = False,
+) -> Decision:
+    """The coalition loop on Fractions: arity, then r(V) = alpha if ``alpha``
+    is given, then the first proper X in ascending mask order with r(X) <
+    bound(X) (r(X) > bound(X) if ``upper``); ``label`` names the bound."""
+    if len(r) != model.n:
+        raise ValueError(f"rate vector has {len(r)} entries for {model.n} users")
+    full = model.full_mask
+    sums = [Fraction(0)] * (full + 1)
+    for x in subsets(full, nonempty=True):
+        low = x & -x
+        sums[x] = sums[x ^ low] + r[low.bit_length() - 1]
+    if alpha is not None and sums[full] != alpha:
+        return Decision(
+            False,
+            "sum",
+            full,
+            f"r(V)={format_rational(sums[full])} != alpha={format_rational(alpha)}",
+        )
+    for x in subsets(full, nonempty=True, proper=True):
+        b = bound(x)
+        if sums[x] > b if upper else sums[x] < b:
+            return Decision(
+                False,
+                "upper" if upper else "coalition",
+                x,
+                f"r(X)={format_rational(sums[x])} {'>' if upper else '<'} "
+                f"{label}{format_rational(b)} for X={{{','.join(model.ids_from_mask(x))}}}",
+            )
+    return Decision(True)
+
+
+def fraction_in_core(game: Game, r: RateVector, integer_mode: bool = False) -> Decision:
+    """in_core on Fractions: sum, then fractional rate, then coalition."""
+    decision = fraction_check_coalitions(game.model, r, game.char_value, "f(X)=", game.alpha)
+    if integer_mode and decision.kind != "sum":
+        for i, x in enumerate(r):
+            if x.denominator != 1:
+                return Decision(False, "fractional", i, f"r_{game.model.users[i]}={format_rational(x)}")
+    return decision
+
+
+def fraction_dual_membership(game: Game, r: RateVector) -> Decision:
+    """dual_membership on Fractions: r(X) <= f#(X) for every proper X."""
+    return fraction_check_coalitions(
+        game.model, r, game.dual_value, "f#(X)=", game.alpha, upper=True
+    )
+
+
+def satisfies_slepian_wolf(model, r: RateVector) -> Decision:
+    """Do the rates cover every proper coalition's missing information?
+
+    Checks r(X) >= H(Z_X | Z_{V\\X}) for all proper X; a failing X is returned
+    as witness.
+    """
+    full = model.full_mask
+    h_total = model.entropy(full)
+    return fraction_check_coalitions(model, r, lambda x: h_total - model.entropy(full & ~x), "")

@@ -554,6 +554,21 @@ def test_usage_errors_exit_one(example1_path):
     assert code == 1
 
 
+def test_argparse_output_goes_to_the_given_streams(capsys):
+    from omnirate import __version__
+
+    code, report, text, err = cli("minrate")  # missing model path
+    assert (code, report, text) == (1, None, "")
+    assert err.startswith("usage: omnirate minrate")
+    assert err.endswith("error: the following arguments are required: model\n")
+    code, report, text, err = cli("--version")
+    assert (code, report, text, err) == (0, None, f"omnirate {__version__}\n", "")
+    code, _, text, err = cli("core", "--help")
+    assert code == 0 and text.startswith("usage: omnirate core") and err == ""
+    # nothing reached the process's own streams
+    assert capsys.readouterr() == ("", "")
+
+
 def test_rationals_in_reports_are_lowest_terms(example1_path):
     _, report, _, _ = cli("core", example1_path, "--alpha", "14/4", "--rates", "5/2,2/4,1/2")
     assert report["results"]["alpha"]["rational"] == "7/2"

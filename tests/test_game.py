@@ -10,11 +10,10 @@ from omnirate import (
     RateVector,
     dual_membership,
     in_core,
-    satisfies_slepian_wolf,
     subsets,
 )
 
-from oracles import check_submodular, random_packet_model, random_rate_vector
+from oracles import check_submodular, random_packet_model, random_rate_vector, satisfies_slepian_wolf
 
 F = Fraction
 

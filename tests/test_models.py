@@ -106,13 +106,27 @@ def test_entries_outside_the_user_set_are_a_format_error():
             EntropyTable(["1", "2"], {**vals, **extra})
 
 
-def test_entropy_table_keeps_fraction_values():
+def test_entropy_table_holds_one_integer_table():
     vals = {0: Fraction(0), 0b01: Fraction(1, 2), 0b10: Fraction(1, 3), 0b11: Fraction(5, 6)}
     table = EntropyTable(["1", "2"], vals)
-    assert all(table.entropy(m) is v for m, v in vals.items())
+    assert table.entropy_table == ([0, 3, 2, 5], 6)
+    assert all(table.entropy(m) == v and type(table.entropy(m)) is Fraction for m, v in vals.items())
     # other rationals are converted
     table = EntropyTable(["1", "2"], {0: 0, 0b01: 1, 0b10: 1, 0b11: 2})
+    assert table.entropy_table == ([0, 1, 1, 2], 1)
     assert all(type(table.entropy(m)) is Fraction for m in range(4))
+    table = EntropyTable(["1", "2"], {0: 0, 0b01: 0.5, 0b10: "1/4", 0b11: Fraction(3, 4)})
+    assert table.entropy_table == ([0, 2, 1, 3], 4)
+    # the file path builds the same table from reduced pairs
+    pairs = {0: (0, 1), 0b01: (1, 2), 0b10: (1, 3), 0b11: (5, 6)}
+    assert EntropyTable.from_pairs(["1", "2"], pairs).entropy_table == ([0, 3, 2, 5], 6)
+
+
+def test_missing_subsets_are_counted_without_scanning_every_mask():
+    # 40 users: 2^40 masks, of which the file gives three
+    users = [str(i) for i in range(40)]
+    with pytest.raises(ModelFormatError, match=r"missing 1099511627773 subset\(s\), e.g. \{0,1\}, \{2\}"):
+        EntropyTable.from_pairs(users, {0: (0, 1), 1: (1, 1), 2: (1, 1)})
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,11 +137,11 @@ def test_random_packet_models_are_polymatroids(seed):
 
 
 @st.composite
-def perturbed_tables(draw) -> EntropyTable:
-    """A weighted-coverage polymatroid on 2..5 users with up to three entries
-    moved by a step or two: some stay valid, others lose normalization,
-    monotonicity or submodularity, often by a single step."""
-    n = draw(st.integers(min_value=2, max_value=5))
+def perturbed_tables(draw, min_users: int, max_users: int) -> EntropyTable:
+    """A weighted-coverage polymatroid on min_users..max_users users with up
+    to three entries moved by a step or two: some stay valid, others lose
+    normalization, monotonicity or submodularity, often by a single step."""
+    n = draw(st.integers(min_value=min_users, max_value=max_users))
     weights = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5))
     held = draw(st.lists(st.integers(0, (1 << len(weights)) - 1), min_size=n, max_size=n))
     values = {}
@@ -145,10 +159,20 @@ def perturbed_tables(draw) -> EntropyTable:
 
 
 @settings(max_examples=400, deadline=None)
-@given(perturbed_tables())
+@given(perturbed_tables(2, 5))
 def test_elementary_check_agrees_with_full_scan(model):
     # validate_polymatroid runs the full pair scan only when the elementary
     # check fails, so the two must agree on pass or fail
+    h, _ = model.entropy_table
+    assert models._is_polymatroid(h, model.n) == models._scan_violations(model).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(perturbed_tables(6, 8))
+def test_elementary_check_agrees_with_full_scan_up_to_8_users(model):
+    # the check slices its table as blocks or as strided runs, whichever
+    # takes fewer slices, and tracks where each bit lands; 6..8 users mix
+    # the two ways on every level (the full scan is O(4^n), hence fewer runs)
     h, _ = model.entropy_table
     assert models._is_polymatroid(h, model.n) == models._scan_violations(model).ok
 
