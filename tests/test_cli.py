@@ -415,6 +415,33 @@ def test_allocate_greedy_sampled_golden(example1_path):
     assert golden_greedy_sampled_text(data_dir) == text
 
 
+# Exact join orders (n <= 8): every greedy vertex with its first order, one
+# vertex along a given order, and the polyhedron rows and vertices, on the
+# fractional 6-user table at R_CO = 117/4 and the 8-user packet model above
+# R_CO.
+GREEDY_GOLDEN_CASES = {
+    "entropy_n6": [
+        ("greedy at R_CO", ("allocate", "--alpha", "117/4", "--method", "greedy")),
+        (
+            "greedy along an order",
+            ("allocate", "--alpha", "117/4", "--method", "greedy", "--order", "4,2,6,1,5,3"),
+        ),
+        ("polyhedron at R_CO", ("polyhedron", "--alpha", "117/4")),
+    ],
+    "packets_n8": [
+        ("greedy above R_CO", ("allocate", "--alpha", "28", "--method", "greedy")),
+    ],
+}
+
+
+@pytest.mark.parametrize("model", sorted(GREEDY_GOLDEN_CASES))
+def test_greedy_and_polyhedron_golden(example1_path, model):
+    data_dir = os.path.dirname(example1_path)
+    path = os.path.join(data_dir, "golden", f"greedy_{model}.json")
+    with open(path, encoding="utf-8") as fh:
+        assert golden_reports_text(data_dir, model, GREEDY_GOLDEN_CASES[model]) == fh.read()
+
+
 def test_allocate_greedy_with_order(example1_path):
     code, report, _, _ = cli(
         "allocate", example1_path, "--alpha", "4", "--method", "greedy", "--order", "1,2,3"
