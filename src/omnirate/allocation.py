@@ -1,9 +1,10 @@
 """Rate allocation: Shapley fairness, greedy core vertices, integer core
 enumeration, and Jain-index comparison.
 
-Shapley and the integer-core walk read the truncated dual's ints
-(``TruncatedDual.table`` over ``den``); greedy vertices read its Fraction
-view.
+Every allocator reads the truncated dual's ints (``TruncatedDual.table``
+over ``den``): Shapley sums them, greedy vertices are their marginals along
+join orders, and the integer-core walk bounds its prefix sums with them.
+Rates become Fractions once per reported vector.
 """
 
 from __future__ import annotations
@@ -82,6 +83,14 @@ def shapley(trunc: TruncatedDual) -> Allocation:
     return Allocation(RateVector(tuple(rates)), "shapley", None, jain_or_none(tuple(rates)))
 
 
+def _greedy_allocation(
+    trunc: TruncatedDual, ints: tuple[int, ...], order: tuple[int, ...]
+) -> Allocation:
+    # the Jain index is scale-free, so it reads the ints over den as they are
+    rates = tuple(Fraction(v, trunc.den) for v in ints)
+    return Allocation(RateVector(rates), "greedy", order, jain_or_none(ints))
+
+
 def greedy_vertex(trunc: TruncatedDual, order: Sequence[int]) -> Allocation:
     """Core vertex from greedy marginals along one join order."""
     _require_nonempty(trunc)
@@ -89,8 +98,7 @@ def greedy_vertex(trunc: TruncatedDual, order: Sequence[int]) -> Allocation:
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order!r} is not a permutation of 0..{n - 1}")
     order = tuple(order)
-    rates = greedy_marginals(trunc.values, order)
-    return Allocation(RateVector(rates), "greedy", order, jain_or_none(rates))
+    return _greedy_allocation(trunc, greedy_marginals(trunc.table, order), order)
 
 
 def greedy_vertices(
@@ -118,13 +126,12 @@ def greedy_vertices(
     else:
         order_iter = permutations(range(n))
     out: list[Allocation] = []
-    seen: set[tuple[Fraction, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
     for order in order_iter:
-        rates = greedy_marginals(trunc.values, order)
-        if rates in seen:
-            continue
-        seen.add(rates)
-        out.append(Allocation(RateVector(rates), "greedy", tuple(order), jain_or_none(rates)))
+        ints = greedy_marginals(trunc.table, order)
+        if ints not in seen:
+            seen.add(ints)
+            out.append(_greedy_allocation(trunc, ints, tuple(order)))
     return out, partial
 
 

@@ -108,7 +108,13 @@ def _vertex_json(model: SourceModel, alloc: Allocation) -> dict:
     return _allocation_json(alloc.method, order, alloc.rates, alloc.jain)
 
 
-def _check_user_guard(model: SourceModel) -> None:
+def _load(args, validate: bool = True) -> SourceModel:
+    try:
+        model = load_model(args.model, validate=validate)
+    except InvalidModelError as exc:
+        raise CliError(EXIT_INVALID_MODEL, str(exc)) from exc
+    except ModelFormatError as exc:
+        raise CliError(EXIT_INPUT, str(exc)) from exc
     text = os.environ.get("OMNI_MAX_USERS")
     try:
         guard = DEFAULT_MAX_USERS if text is None else int(text)
@@ -122,16 +128,6 @@ def _check_user_guard(model: SourceModel) -> None:
             f"model has {model.n} users, above the OMNI_MAX_USERS guard ({guard}); "
             "the algorithms here are exponential by design",
         )
-
-
-def _load(args) -> SourceModel:
-    try:
-        model = load_model(args.model, validate=True)
-    except InvalidModelError as exc:
-        raise CliError(EXIT_INVALID_MODEL, str(exc)) from exc
-    except ModelFormatError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
-    _check_user_guard(model)
     return model
 
 
@@ -188,11 +184,7 @@ def _echo_inputs(args, **extra) -> dict:
 
 
 def cmd_validate(args) -> tuple[dict, int]:
-    try:
-        model = load_model(args.model, validate=False)
-    except ModelFormatError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
-    _check_user_guard(model)
+    model = _load(args, validate=False)
     report = validate_polymatroid(model)
     out = _report("validate", model, _echo_inputs(args))
     out["results"] = {
@@ -344,12 +336,13 @@ def cmd_polyhedron(args) -> tuple[dict, int]:
     game = Game(model, alpha)
     trunc = dilworth_truncate(game)
     out = _report("polyhedron", model, _echo_inputs(args, alpha=args.alpha))
+    dual, den = game.dual_ints()
     constraints = [
-        {"set": _subset_json(model, x), "upper_bound": _q(game.dual_value(x))}
+        {"set": _subset_json(model, x), "upper_bound": _q(Fraction(dual[x], den))}
         for x in subsets(model.full_mask, nonempty=True)
     ]
     truncated = [
-        {"set": _subset_json(model, x), "value": _q(trunc.values[x])}
+        {"set": _subset_json(model, x), "value": _q(Fraction(trunc.table[x], trunc.den))}
         for x in subsets(model.full_mask)
     ]
     convex = convex_characteristic(trunc)

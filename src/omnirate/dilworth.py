@@ -70,16 +70,19 @@ def convex_characteristic(trunc: TruncatedDual) -> ConvexCharacteristic:
 
 
 def greedy_marginals(
-    values: Mapping[int, Fraction], order: Sequence[int]
-) -> tuple[Fraction, ...]:
+    values: Mapping[int, Fraction] | Sequence[int], order: Sequence[int]
+) -> tuple[Fraction, ...] | tuple[int, ...]:
     """Marginal gains of ``values`` along the prefix chain of ``order``.
 
     rate[order[k]] = values(first k+1 users) - values(first k users); for a
     submodular table with values(V) = alpha this is a vertex of the core.
+    ``values`` is indexed by mask: the rates are ints on an int table such
+    as ``TruncatedDual.table`` (over its ``den``) and Fractions on the
+    Fraction view ``TruncatedDual.values``.
     """
-    rates = [Fraction(0)] * len(order)
+    rates = [0] * len(order)
     prefix = 0
-    prev = Fraction(0)
+    prev = 0
     for i in order:
         prefix |= 1 << i
         cur = values[prefix]

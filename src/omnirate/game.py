@@ -10,7 +10,6 @@ from math import lcm
 from operator import gt, indexOf, lt
 from typing import Iterable
 
-from .combinatorics import bits
 from .models import SourceModel
 from .rationals import format_rational
 
@@ -42,9 +41,6 @@ class RateVector:
     def total(self) -> Fraction:
         return sum(self.rates, Fraction(0))
 
-    def sum_over(self, mask: int) -> Fraction:
-        return sum((self.rates[i] for i in bits(mask)), Fraction(0))
-
 
 class Game:
     """Game on user set V with sum-rate ``alpha``.
@@ -68,8 +64,7 @@ class Game:
         return self.model.full_mask
 
     def char_value(self, mask: int) -> Fraction:
-        if mask < 0 or mask & ~self.full_mask:
-            raise ValueError(f"mask {mask:#b} is not a subset of the user set")
+        self.model._check_mask(mask)
         if mask == self.full_mask:
             return self.alpha
         if mask == 0:
@@ -78,8 +73,7 @@ class Game:
         return Fraction(h[self.full_mask] - h[self.full_mask & ~mask], self._h_den)
 
     def dual_value(self, mask: int) -> Fraction:
-        if mask < 0 or mask & ~self.full_mask:
-            raise ValueError(f"mask {mask:#b} is not a subset of the user set")
+        self.model._check_mask(mask)
         return self.alpha - self.char_value(self.full_mask & ~mask)
 
     def dual_ints(self) -> tuple[list[int], int]:

@@ -37,8 +37,8 @@ from math import gcd, lcm
 from operator import ge, sub
 from typing import Iterable, Mapping, Sequence
 
-from .combinatorics import bits, subsets
-from .rationals import format_rational, parse_pair, to_ints
+from .combinatorics import bits
+from .rationals import parse_pair, to_ints
 
 
 class ModelFormatError(ValueError):
@@ -60,6 +60,9 @@ class SourceModel:
     """Base class: a user set plus an entropy function H on its subsets."""
 
     kind = "abstract"
+    # H on every subset as (h, den): H(X) = h[X] / den over one common
+    # denominator, h indexed by mask. Each subclass fills it; do not mutate it.
+    entropy_table: tuple[list[int], int]
 
     def __init__(self, users: Sequence[str], unit: str | None = None):
         users = tuple(str(u) for u in users)
@@ -94,17 +97,9 @@ class SourceModel:
 
     def entropy(self, mask: int) -> Fraction:
         """H(Z_X) for the subset X given as a bit-mask."""
-        raise NotImplementedError
-
-    def conditional_entropy(self, x: int, y: int) -> Fraction:
-        """H(Z_X | Z_Y) = H(Z_{X union Y}) - H(Z_Y)."""
-        return self.entropy(x | y) - self.entropy(y)
-
-    @cached_property
-    def entropy_table(self) -> tuple[list[int], int]:
-        """H on every subset as (h, den): H(X) = h[X] / den, one common
-        denominator, ``h`` indexed by mask. Built once; do not mutate it."""
-        return to_ints([self.entropy(x) for x in range(self.full_mask + 1)])
+        self._check_mask(mask)
+        h, den = self.entropy_table
+        return Fraction(h[mask], den)
 
     def is_integral(self) -> bool:
         """True when every subset entropy is an integer."""
@@ -164,7 +159,7 @@ class EntropyTable(SourceModel):
         super().__init__(users, unit)
         table = {int(m): v if type(v) in (Fraction, int) else Fraction(v) for m, v in values.items()}
         self._check_subsets(table)
-        self._table = to_ints([table[m] for m in range(self.full_mask + 1)])
+        self.entropy_table = to_ints([table[m] for m in range(self.full_mask + 1)])
 
     @classmethod
     def from_pairs(
@@ -180,7 +175,7 @@ class EntropyTable(SourceModel):
         model._check_subsets(pairs)
         den = lcm(*(q for _, q in pairs.values()))
         h = [p * (den // q) for p, q in map(pairs.__getitem__, range(model.full_mask + 1))]
-        model._table = h, den
+        model.entropy_table = h, den
         return model
 
     def _check_subsets(self, table: Mapping[int, object]) -> None:
@@ -197,15 +192,6 @@ class EntropyTable(SourceModel):
             )
         if extra:
             raise ModelFormatError(f"entropy table has {len(extra)} entries outside the user set")
-
-    @property
-    def entropy_table(self) -> tuple[list[int], int]:
-        return self._table
-
-    def entropy(self, mask: int) -> Fraction:
-        self._check_mask(mask)
-        h, den = self._table
-        return Fraction(h[mask], den)
 
 
 @dataclass(frozen=True)
@@ -235,11 +221,11 @@ def validate_polymatroid(model: SourceModel) -> ValidationReport:
     single-step monotonicity H(X+i) >= H(X), and the elementary inequalities
     H(X+i) + H(X+j) >= H(X+i+j) + H(X) for i < j outside X, which imply
     submodularity on every pair (Fujishige, *Submodular Functions and
-    Optimization*). Only a table that fails them pays for the full scan,
-    which lists every violation: H(empty) != 0, every failing single-element
-    step, and every unordered incomparable pair with H(X)+H(Y) <
-    H(X|Y)+H(X&Y) (comparable pairs hold with equality). An empty report is
-    a pass.
+    Optimization*). Only a table that fails them pays for the full scan on
+    the same ints, which lists every violation: H(empty) != 0, every
+    failing single-element step, and every unordered incomparable pair with
+    H(X)+H(Y) < H(X|Y)+H(X&Y) (comparable pairs hold with equality). An
+    empty report is a pass.
     """
     h, _ = model.entropy_table
     if _is_polymatroid(h, model.n):
@@ -292,32 +278,34 @@ def _halves(values: list[int], k: int):
 
 
 def _scan_violations(model: SourceModel) -> ValidationReport:
-    h = {x: model.entropy(x) for x in subsets(model.full_mask)}
+    h, den = model.entropy_table
+    full = model.full_mask
     out: list[Violation] = []
 
     def name(mask: int) -> str:
         return "{" + ",".join(model.ids_from_mask(mask)) + "}"
 
+    def value(mask: int) -> str:
+        return _ratio_text(h[mask], den)
+
     if h[0] != 0:
-        out.append(
-            Violation("normalization", (0,), f"H(empty)={format_rational(h[0])}, expected 0")
-        )
-    for x in subsets(model.full_mask, proper=True):
-        for i in bits(model.full_mask & ~x):
+        out.append(Violation("normalization", (0,), f"H(empty)={value(0)}, expected 0"))
+    for x in range(full):
+        for i in bits(full & ~x):
             y = x | (1 << i)
             if h[y] < h[x]:
                 out.append(
                     Violation(
                         "monotonicity",
                         (x, y),
-                        f"H({name(x)})={format_rational(h[x])} > H({name(y)})={format_rational(h[y])}",
+                        f"H({name(x)})={value(x)} > H({name(y)})={value(y)}",
                     )
                 )
-    for x in subsets(model.full_mask, nonempty=True):
-        for y in subsets(model.full_mask, nonempty=True):
-            if y >= x or x & ~y == 0 or y & ~x == 0:
-                continue  # unordered, incomparable pairs only
-            if h[x] + h[y] < h[x | y] + h[x & y]:
+    for x in range(1, full + 1):
+        hx = h[x]
+        for y in range(1, x):
+            # unordered pairs; a comparable pair holds with equality
+            if hx + h[y] < h[x | y] + h[x & y]:
                 out.append(
                     Violation(
                         "submodularity",
@@ -405,7 +393,8 @@ def load_model(path: str, *, validate: bool = True) -> SourceModel:
             obj = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
     except OSError as exc:
         raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an int over the digit limit
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an int over the digit limit, or too deep nesting
         raise ModelFormatError(f"malformed JSON in {path}: {exc}") from exc
     model = model_from_dict(obj)
     if validate and isinstance(model, EntropyTable):

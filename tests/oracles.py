@@ -15,6 +15,7 @@ from math import factorial
 from typing import Callable, Iterable, Iterator, Mapping
 
 from omnirate import (
+    Allocation,
     Decision,
     EntropyTable,
     Game,
@@ -22,12 +23,15 @@ from omnirate import (
     Partition,
     RateVector,
     TruncatedDual,
+    ValidationReport,
+    Violation,
     bits,
     format_rational,
     greedy_marginals,
     in_core,
     subsets,
 )
+from omnirate.allocation import jain_or_none
 
 
 def set_partitions(items):
@@ -275,10 +279,10 @@ def cores_equal(
         if r.total() != game.alpha:
             raise ValueError("sample rate vector does not sum to alpha")
         member_orig = all(
-            r.sum_over(x) <= game.dual_value(x) for x in subsets(full, nonempty=True)
+            sum_over(r, x) <= game.dual_value(x) for x in subsets(full, nonempty=True)
         )
         member_trunc = all(
-            r.sum_over(x) <= trunc.values[x] for x in subsets(full, nonempty=True)
+            sum_over(r, x) <= trunc.values[x] for x in subsets(full, nonempty=True)
         )
         if member_orig != member_trunc:
             mismatches.append(r)
@@ -415,3 +419,68 @@ def satisfies_slepian_wolf(model, r: RateVector) -> Decision:
     full = model.full_mask
     h_total = model.entropy(full)
     return fraction_check_coalitions(model, r, lambda x: h_total - model.entropy(full & ~x), "")
+
+
+def conditional_entropy(model, x: int, y: int) -> Fraction:
+    """H(Z_X | Z_Y) = H(Z_{X union Y}) - H(Z_Y)."""
+    return model.entropy(x | y) - model.entropy(y)
+
+
+def sum_over(r: RateVector, mask: int) -> Fraction:
+    """r(X): the rates of the users in the mask, summed."""
+    return sum((r[i] for i in bits(mask)), Fraction(0))
+
+
+def fraction_scan_violations(model) -> ValidationReport:
+    """Every polymatroid violation, on one Fraction per subset: H(empty) !=
+    0, then each failing single-element step X -> X+i (X ascending, i
+    ascending), then each unordered incomparable pair (X, Y) with H(X)+H(Y)
+    < H(X|Y)+H(X&Y), X ascending and Y < X ascending."""
+    h = {x: model.entropy(x) for x in subsets(model.full_mask)}
+    out: list[Violation] = []
+
+    def name(mask: int) -> str:
+        return "{" + ",".join(model.ids_from_mask(mask)) + "}"
+
+    if h[0] != 0:
+        out.append(
+            Violation("normalization", (0,), f"H(empty)={format_rational(h[0])}, expected 0")
+        )
+    for x in subsets(model.full_mask, proper=True):
+        for i in bits(model.full_mask & ~x):
+            y = x | (1 << i)
+            if h[y] < h[x]:
+                out.append(
+                    Violation(
+                        "monotonicity",
+                        (x, y),
+                        f"H({name(x)})={format_rational(h[x])} > H({name(y)})={format_rational(h[y])}",
+                    )
+                )
+    for x in subsets(model.full_mask, nonempty=True):
+        for y in subsets(model.full_mask, nonempty=True):
+            if y >= x or x & ~y == 0 or y & ~x == 0:
+                continue  # unordered, incomparable pairs only
+            if h[x] + h[y] < h[x | y] + h[x & y]:
+                out.append(
+                    Violation(
+                        "submodularity",
+                        (x, y),
+                        f"H({name(x)})+H({name(y)}) < H({name(x | y)})+H({name(x & y)})",
+                    )
+                )
+    return ValidationReport(tuple(out))
+
+
+def fraction_greedy_vertices(trunc: TruncatedDual, orders) -> list[Allocation]:
+    """The distinct greedy vertices along ``orders``, each with the first
+    order that reaches it, from the Fraction view ``trunc.values``."""
+    out: list[Allocation] = []
+    seen: set[tuple[Fraction, ...]] = set()
+    for order in orders:
+        rates = greedy_marginals(trunc.values, order)
+        if rates in seen:
+            continue
+        seen.add(rates)
+        out.append(Allocation(RateVector(rates), "greedy", tuple(order), jain_or_none(rates)))
+    return out

@@ -29,7 +29,13 @@ from omnirate import (
     shapley,
 )
 
-from oracles import brute_integer_core, brute_shapley, random_entropy_table, random_packet_model
+from oracles import (
+    brute_integer_core,
+    brute_shapley,
+    fraction_greedy_vertices,
+    random_entropy_table,
+    random_packet_model,
+)
 
 F = Fraction
 
@@ -149,6 +155,24 @@ def test_shapley_matches_fraction_formula():
             for alpha in (r_co, r_co + F(1, 3), r_co + 2):
                 trunc = dilworth_truncate(Game(model, alpha))
                 assert tuple(shapley(trunc).rates) == brute_shapley(trunc)
+
+
+def test_greedy_vertices_match_the_fraction_walk():
+    # the walk on the int table against the one on the Fraction view: the
+    # same vertices, first orders and Jain indices, in the same order, on
+    # packet and fractional truncations at R_CO (where ties are widest) and
+    # above it
+    rng = random.Random(113)
+    for n in range(2, 7):
+        for model in (random_packet_model(rng, n_users=n), random_entropy_table(rng, n)):
+            r_co = min_sum_rate_asymptotic(model).r_co
+            for alpha in (r_co, r_co + F(1, 3), r_co + 2):
+                trunc = dilworth_truncate(Game(model, alpha))
+                vertices, partial = greedy_vertices(trunc)
+                assert not partial
+                assert vertices == fraction_greedy_vertices(trunc, permutations(range(n)))
+                order = tuple(rng.sample(range(n), n))
+                assert [greedy_vertex(trunc, order)] == fraction_greedy_vertices(trunc, [order])
 
 
 def test_shapley_in_core_at_threshold_grid():

@@ -631,8 +631,13 @@ def test_oversized_numbers_and_bad_bytes_exit_one(tmp_path, example1_path):
     )
     latin = tmp_path / "latin.json"
     latin.write_bytes(b'{"type": "packets", "users": {"1": ["\xff"], "2": ["b"]}}')
+    # nesting deeper than the decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
     for argv, message in (
         (("validate", str(latin)), "malformed JSON"),
+        (("validate", str(deep)), "malformed JSON"),
+        (("minrate", str(deep)), "malformed JSON"),
         (("validate", str(path)), "too many digits"),
         (("minrate", str(path)), "too many digits"),
         (("validate", str(literal)), "malformed JSON"),

@@ -13,7 +13,13 @@ from omnirate import (
     subsets,
 )
 
-from oracles import check_submodular, random_packet_model, random_rate_vector, satisfies_slepian_wolf
+from oracles import (
+    check_submodular,
+    random_packet_model,
+    random_rate_vector,
+    satisfies_slepian_wolf,
+    sum_over,
+)
 
 F = Fraction
 
@@ -24,6 +30,10 @@ def test_char_values_on_example(example1):
     assert g.char_value(example1.full_mask) == 4
     assert g.char_value(example1.mask_from_ids(["1"])) == 1
     assert g.char_value(0) == 0
+    for bad in (-1, 1 << example1.n):
+        for value in (g.char_value, g.dual_value):
+            with pytest.raises(ValueError, match="is not a subset of the user set"):
+                value(bad)
 
 
 def test_dual_values_on_example(example1):
@@ -55,7 +65,7 @@ def test_rate_vector_rejects_negative():
         RateVector.of([1, -1])
     r = RateVector.of(["5/2", "1/2", "1/2"])
     assert r.total() == F(7, 2)
-    assert r.sum_over(0b011) == 3
+    assert sum_over(r, 0b011) == 3
 
 
 def test_slepian_wolf_examples(example1):

@@ -20,7 +20,12 @@ from omnirate import (
     validate_polymatroid,
 )
 
-from oracles import random_entropy_table, random_packet_model
+from oracles import (
+    conditional_entropy,
+    fraction_scan_violations,
+    random_entropy_table,
+    random_packet_model,
+)
 
 
 def table_of(model) -> dict:
@@ -36,16 +41,18 @@ def test_example_entropies(example1):
 
 def test_example_conditional_entropies(example1):
     m = example1
-    assert m.conditional_entropy(m.mask_from_ids(["1", "2"]), m.mask_from_ids(["3"])) == 3
-    assert m.conditional_entropy(m.mask_from_ids(["2"]), m.mask_from_ids(["1", "3"])) == 0
-    assert m.conditional_entropy(0, m.mask_from_ids(["2"])) == 0
+    assert conditional_entropy(m, m.mask_from_ids(["1", "2"]), m.mask_from_ids(["3"])) == 3
+    assert conditional_entropy(m, m.mask_from_ids(["2"]), m.mask_from_ids(["1", "3"])) == 0
+    assert conditional_entropy(m, 0, m.mask_from_ids(["2"])) == 0
 
 
 def test_entropy_rejects_unknown_users_and_bad_masks(example1):
     with pytest.raises(ModelFormatError):
         example1.mask_from_ids(["nope"])
-    with pytest.raises(ValueError):
-        example1.entropy(1 << example1.n)
+    table = EntropyTable(["1", "2"], {0: 0, 1: 1, 2: 1, 3: 2})
+    for model in (example1, table):
+        with pytest.raises(ValueError, match="is not a subset of the user set"):
+            model.entropy(1 << model.n)
 
 
 def test_single_user_model_rejected():
@@ -177,13 +184,33 @@ def test_elementary_check_agrees_with_full_scan_up_to_8_users(model):
     assert models._is_polymatroid(h, model.n) == models._scan_violations(model).ok
 
 
+@settings(max_examples=300, deadline=None)
+@given(perturbed_tables(2, 6))
+def test_scan_matches_the_fraction_scan(model):
+    # the integer scan against the Fraction scan it replaced: the whole
+    # report, every violation's sets and detail string in the same order
+    expected = fraction_scan_violations(model)
+    assert models._scan_violations(model) == expected
+    assert validate_polymatroid(model) == expected
+
+
+def test_scan_matches_the_fraction_scan_on_every_kind():
+    # a fractional table with H(empty) != 0, two failing steps and a
+    # failing incomparable pair
+    h = [Fraction(1, 2), 2, Fraction(3, 2), 1, 1, 2, Fraction(5, 2), 4]
+    model = EntropyTable(["1", "2", "3"], dict(enumerate(h)))
+    report = validate_polymatroid(model)
+    assert {v.kind for v in report.violations} == {"normalization", "monotonicity", "submodularity"}
+    assert report == fraction_scan_violations(model)
+
+
 def test_monotone_and_conditional_nonnegative(example1):
     rng = random.Random(11)
     for _ in range(25):
         model = random_packet_model(rng)
         for x in subsets(model.full_mask):
             for y in subsets(model.full_mask):
-                assert model.conditional_entropy(x, y) >= 0
+                assert conditional_entropy(model, x, y) >= 0
                 if x & ~y == 0:
                     assert model.entropy(x) <= model.entropy(y)
 
