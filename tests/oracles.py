@@ -29,9 +29,9 @@ from omnirate import (
     format_rational,
     greedy_marginals,
     in_core,
+    jain_index,
     subsets,
 )
-from omnirate.allocation import jain_or_none
 
 
 def set_partitions(items):
@@ -482,5 +482,6 @@ def fraction_greedy_vertices(trunc: TruncatedDual, orders) -> list[Allocation]:
         if rates in seen:
             continue
         seen.add(rates)
-        out.append(Allocation(RateVector(rates), "greedy", tuple(order), jain_or_none(rates)))
+        jain = jain_index(rates) if any(rates) else None
+        out.append(Allocation(RateVector(rates), "greedy", tuple(order), jain))
     return out
