@@ -17,7 +17,7 @@ from math import factorial
 from operator import sub
 from typing import Iterable, Sequence
 
-from .combinatorics import subsets
+from .combinatorics import flip, subsets
 from .dilworth import TruncatedDual, dilworth_truncate, greedy_marginals
 from .game import Game, RateVector
 from .rationals import format_rational, to_ints
@@ -101,14 +101,13 @@ def greedy_vertex(trunc: TruncatedDual, order: Sequence[int]) -> Allocation:
     return _greedy_allocation(trunc, greedy_marginals(trunc.table, order), order)
 
 
-def greedy_vertices(
-    trunc: TruncatedDual, *, seed: int | None = None
-) -> tuple[list[Allocation], bool]:
+def greedy_vertices(trunc: TruncatedDual, *, seed: int = 0) -> tuple[list[Allocation], bool]:
     """All distinct greedy vertices of the core (one allocation per vertex).
 
     Exhausts every join order up to 8 users (8! orders). Larger ground sets
-    get 2000 random orders from ``random.Random(seed)`` instead, and the
-    second return value flags the result as partial.
+    get 2000 random orders from ``random.Random(seed)`` instead, so the same
+    seed always gives the same vertices, and the second return value flags
+    the result as partial.
     """
     _require_nonempty(trunc)
     n = trunc.ground.bit_count()
@@ -178,7 +177,7 @@ def enumerate_integer_core(game: Game) -> list[tuple[int, ...]]:
     last = 1 << (game.model.n - 1)
     g = trunc.table  # over den = 1: alpha and every entropy are integers
     alpha = g[full]
-    lower = [alpha - g[full ^ x] for x in range(full + 1)]
+    lower = flip(g)
     # s[Y] = r(Y) for every Y among the users fixed so far; the masks of
     # "Y plus user i" for Y within users 0..i-1 are the slice [bit, 2*bit).
     s = [0] * (full + 1)

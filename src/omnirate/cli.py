@@ -31,6 +31,7 @@ from typing import Sequence
 
 from . import __version__
 from .allocation import (
+    _EXACT_MAX_USERS,
     Allocation,
     CoreEmptyError,
     IntegralityError,
@@ -41,8 +42,8 @@ from .allocation import (
     jain_or_none,
     shapley,
 )
-from .combinatorics import Partition, subsets
-from .dilworth import convex_characteristic, dilworth_truncate
+from .combinatorics import Partition, flip, subsets
+from .dilworth import dilworth_truncate
 from .game import Game, RateVector, dual_membership, in_core
 from .models import (
     InvalidModelError,
@@ -52,7 +53,7 @@ from .models import (
     model_digest,
     validate_polymatroid,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, ratio_text
 from .sumrate import (
     core_nonempty,
     min_sum_rate_asymptotic,
@@ -75,7 +76,12 @@ class CliError(Exception):
 
 
 def _q(x: Fraction) -> dict:
-    return {"rational": format_rational(x), "decimal": float(x)}
+    return _ratio_json(x.numerator, x.denominator)
+
+
+def _ratio_json(num: int, den: int) -> dict:
+    # num / den is float(Fraction(num, den)) bit for bit, OverflowError included
+    return {"rational": ratio_text(num, den), "decimal": num / den}
 
 
 def _qv(rates) -> dict:
@@ -300,10 +306,7 @@ def cmd_allocate(args) -> tuple[dict, int]:
                 allocs = [greedy_vertex(trunc, _parse_order(model, args.order))]
                 partial = False
             else:
-                # fixed default seed keeps sampled-vertex reports reproducible
-                allocs, partial = greedy_vertices(
-                    trunc, seed=0 if args.seed is None else args.seed
-                )
+                allocs, partial = greedy_vertices(trunc, seed=args.seed or 0)
                 allocs = fairness_compare(allocs)
         except CoreEmptyError:
             code = core_empty_payload()
@@ -327,10 +330,10 @@ def cmd_allocate(args) -> tuple[dict, int]:
 
 def cmd_polyhedron(args) -> tuple[dict, int]:
     model = _load(args)
-    if model.n > 8:
+    if model.n > _EXACT_MAX_USERS:
         raise CliError(
             EXIT_INAPPLICABLE,
-            f"polyhedron emission is limited to 8 users, model has {model.n}",
+            f"polyhedron emission is limited to {_EXACT_MAX_USERS} users, model has {model.n}",
         )
     alpha = _parse_alpha(args.alpha)
     game = Game(model, alpha)
@@ -338,20 +341,20 @@ def cmd_polyhedron(args) -> tuple[dict, int]:
     out = _report("polyhedron", model, _echo_inputs(args, alpha=args.alpha))
     dual, den = game.dual_ints()
     constraints = [
-        {"set": _subset_json(model, x), "upper_bound": _q(Fraction(dual[x], den))}
+        {"set": _subset_json(model, x), "upper_bound": _ratio_json(dual[x], den)}
         for x in subsets(model.full_mask, nonempty=True)
     ]
     truncated = [
-        {"set": _subset_json(model, x), "value": _q(Fraction(trunc.table[x], trunc.den))}
+        {"set": _subset_json(model, x), "value": _ratio_json(trunc.table[x], trunc.den)}
         for x in subsets(model.full_mask)
     ]
-    convex = convex_characteristic(trunc)
+    convex = flip(trunc.table)  # the convex game's characteristic function
     convex_rows = [
-        {"set": _subset_json(model, x), "value": _q(convex.values[x])}
+        {"set": _subset_json(model, x), "value": _ratio_json(convex[x], trunc.den)}
         for x in subsets(model.full_mask)
     ]
     if trunc.core_nonempty:
-        allocs, partial = greedy_vertices(trunc)  # exact: at most 8 users here
+        allocs, partial = greedy_vertices(trunc)  # exact: n <= _EXACT_MAX_USERS here
         vertices = [_qv(a.rates) for a in allocs]
     else:
         vertices, partial = [], False

@@ -42,6 +42,14 @@ def subsets(ground: int, *, nonempty: bool = False, proper: bool = False) -> Ite
         yield x
 
 
+def flip(table: Sequence[int]) -> list[int]:
+    """t(V) - t(V minus X) at every mask X, for a table t indexed by the
+    sub-masks of V = len(table) - 1: the value of V minus X sits at index
+    V - X, so the flip reads the table backwards."""
+    top = table[-1]
+    return [top - v for v in reversed(table)]
+
+
 @dataclass(frozen=True)
 class Partition:
     """A partition of ``ground`` into disjoint nonempty blocks.

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .combinatorics import partition_min_table, subsets
+from .combinatorics import flip, partition_min_table, subsets
 from .game import Game
 
 
@@ -64,9 +64,9 @@ def convex_characteristic(trunc: TruncatedDual) -> ConvexCharacteristic:
     value(X) = trunc(V) - trunc(V\\X); supermodular whenever the core is
     nonempty at this alpha.
     """
-    t, ground, den = trunc.table, trunc.ground, trunc.den
-    values = {x: Fraction(t[ground] - t[ground & ~x], den) for x in subsets(ground)}
-    return ConvexCharacteristic(trunc.alpha, ground, values)
+    flipped, den = flip(trunc.table), trunc.den
+    values = {x: Fraction(flipped[x], den) for x in subsets(trunc.ground)}
+    return ConvexCharacteristic(trunc.alpha, trunc.ground, values)
 
 
 def greedy_marginals(

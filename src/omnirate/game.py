@@ -10,8 +10,9 @@ from math import lcm
 from operator import gt, indexOf, lt
 from typing import Iterable
 
+from .combinatorics import flip
 from .models import SourceModel
-from .rationals import format_rational
+from .rationals import format_rational, ratio_text
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def _check_coalitions(
     then the first proper X in ascending mask order with r(X) < bound[X] / den
     (r(X) > bound[X] / den if ``upper``); ``label`` names the bound. Runs on
     ints: the rates and the bound are scaled to one denominator once, and
-    only a failure's detail is printed from Fractions.
+    only a failure's detail is printed, from the ints.
     """
     if len(r) != model.n:
         raise ValueError(f"rate vector has {len(r)} entries for {model.n} users")
@@ -137,7 +138,7 @@ def _check_coalitions(
             False,
             "sum",
             full,
-            f"r(V)={format_rational(Fraction(sums[full], unit))} != alpha={format_rational(alpha)}",
+            f"r(V)={ratio_text(sums[full], unit)} != alpha={format_rational(alpha)}",
         )
     scale = unit // den
     if scale != 1:
@@ -151,8 +152,8 @@ def _check_coalitions(
         False,
         "upper" if upper else "coalition",
         x,
-        f"r(X)={format_rational(Fraction(sums[x], unit))} {'>' if upper else '<'} "
-        f"{label}{format_rational(Fraction(bound[x], unit))} "
+        f"r(X)={ratio_text(sums[x], unit)} {'>' if upper else '<'} "
+        f"{label}{ratio_text(bound[x], unit)} "
         f"for X={{{','.join(model.ids_from_mask(x))}}}",
     )
 
@@ -164,9 +165,8 @@ def in_core(game: Game, r: RateVector, integer_mode: bool = False) -> Decision:
     reported is the first of: sum, fractional rate, coalition.
     """
     h, den = game.model.entropy_table
-    # f(X) = H(V) - H(V minus X) for proper X; h[-1] is H(V)
-    bound = [h[-1] - v for v in reversed(h)]
-    decision = _check_coalitions(game.model, r, bound, den, "f(X)=", game.alpha)
+    # f(X) = H(V) - H(V minus X) for proper X
+    decision = _check_coalitions(game.model, r, flip(h), den, "f(X)=", game.alpha)
     if integer_mode and decision.kind != "sum":
         for i, x in enumerate(r):
             if x.denominator != 1:

@@ -33,12 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from math import gcd, lcm
 from operator import ge, sub
 from typing import Iterable, Mapping, Sequence
 
 from .combinatorics import bits
-from .rationals import parse_pair, to_ints
+from .rationals import parse_pair, ratio_text, scale_pairs
 
 
 class ModelFormatError(ValueError):
@@ -115,7 +114,6 @@ class PacketModel(SourceModel):
         super().__init__(list(packets), unit)
         universe: list[str] = sorted({str(p) for ps in packets.values() for p in ps})
         pindex = {p: i for i, p in enumerate(universe)}
-        self.packet_universe = tuple(universe)
         self.packet_sets = tuple(
             frozenset(str(p) for p in packets[u]) for u in self.users
         )
@@ -150,33 +148,15 @@ class EntropyTable(SourceModel):
 
     kind = "entropy"
 
-    def __init__(
-        self,
-        users: Sequence[str],
-        values: Mapping[int, Fraction],
-        unit: str | None = None,
-    ):
+    def __init__(self, users: Sequence[str], values: Mapping[int, object], unit: str | None = None):
+        # H(X) = values[X] as a rational, or as the reduced pair (p, q) model
+        # files arrive as: the table is built on ints from the pairs
         super().__init__(users, unit)
-        table = {int(m): v if type(v) in (Fraction, int) else Fraction(v) for m, v in values.items()}
-        self._check_subsets(table)
-        self.entropy_table = to_ints([table[m] for m in range(self.full_mask + 1)])
-
-    @classmethod
-    def from_pairs(
-        cls,
-        users: Sequence[str],
-        pairs: Mapping[int, tuple[int, int]],
-        unit: str | None = None,
-    ) -> "EntropyTable":
-        """The table with H(X) = p / q for ``pairs[X] = (p, q)``, q > 0, built
-        on ints: no Fraction per entry."""
-        model = cls.__new__(cls)
-        SourceModel.__init__(model, users, unit)
-        model._check_subsets(pairs)
-        den = lcm(*(q for _, q in pairs.values()))
-        h = [p * (den // q) for p, q in map(pairs.__getitem__, range(model.full_mask + 1))]
-        model.entropy_table = h, den
-        return model
+        self._check_subsets(values)
+        self.entropy_table = scale_pairs([
+            v if type(v) is tuple else Fraction(v).as_integer_ratio()
+            for v in map(values.__getitem__, range(self.full_mask + 1))
+        ])
 
     def _check_subsets(self, table: Mapping[int, object]) -> None:
         full = self.full_mask
@@ -217,7 +197,8 @@ def validate_polymatroid(model: SourceModel) -> ValidationReport:
     """Check that the model's entropy function is a polymatroid rank function.
 
     A pass costs n*2^(n-1) + n(n-1)/2 * 2^(n-2) integer comparisons on
-    ``model.entropy_table``, each side taken by list slicing: H(empty) = 0,
+    ``model.entropy_table``, each side taken by list slicing in mask order
+    (:func:`_halves`): H(empty) = 0,
     single-step monotonicity H(X+i) >= H(X), and the elementary inequalities
     H(X+i) + H(X+j) >= H(X+i+j) + H(X) for i < j outside X, which imply
     submodularity on every pair (Fujishige, *Submodular Functions and
@@ -234,47 +215,47 @@ def validate_polymatroid(model: SourceModel) -> ValidationReport:
 
 
 def _is_polymatroid(h: list[int], n: int) -> bool:
-    # For user i, gain[X] = h(X+i) - h(X) on the masks X without i. The
-    # table passes iff h(empty) = 0, every gain is >= 0 (single-step
-    # monotonicity) and gain[X] >= gain[X+j] for every j > i and X without
-    # i and j (the elementary inequality, symmetric in i and j).
+    # For user i, gain[X] = h(X+i) - h(X) on the masks X without i, indexed
+    # with bit i dropped. The table passes iff h(empty) = 0, every gain is
+    # >= 0 (single-step monotonicity) and gain[X] >= gain[X+j] for every
+    # j > i and X without i and j (the elementary inequality, symmetric in
+    # i and j); bit j of a mask is bit j - 1 of gain's index.
     if h[0] != 0:
         return False
     for i in range(n):
-        without, with_i, rotated = _halves(h, i)
+        without, with_i = _halves(h, i)
         gain = list(map(sub, with_i, without))
         if min(gain) < 0:
             return False
         for j in range(i + 1, n):
-            # where bit j of a mask sits in the index of gain
-            without, with_j, _ = _halves(gain, j - i - 1 if rotated else j - 1)
+            without, with_j = _halves(gain, j - 1)
             if not all(map(ge, without, with_j)):
                 return False
     return True
 
 
-def _halves(values: list[int], k: int):
+def _halves(values: list[int], k: int) -> tuple[Iterable[int], Iterable[int]]:
     """The entries of ``values`` (indexed by 2^m masks) whose index has bit k
-    clear and those with it set, as two iterators in matching order, taken
-    by slicing.
+    clear and those with it set, each indexed by its mask with bit k dropped.
 
-    Blocks of 2^k entries alternate between the two; with few blocks they
-    are sliced as blocks, which keeps the order of the other bits. With few
-    offsets below 2^k, each offset's entries are a strided slice; then the
-    ``rotated`` order has the bits above k first (bit k + 1 + t at index bit
-    t) and the bits below k after them (bit t at index bit m - 1 - k + t).
+    Blocks of 2^k entries alternate between the two. With few blocks they
+    are sliced as blocks; with few offsets below 2^k, the entries at each
+    offset s form one strided slice, written to every 2^k-th place from s.
     """
     low = 1 << k
     step = low << 1
     size = len(values)
     if low * step <= size:  # no more offsets than blocks
-        off = (values[s::step] for s in range(low))
-        on = (values[s::step] for s in range(low, step))
-        return chain.from_iterable(off), chain.from_iterable(on), True
+        off = [0] * (size >> 1)
+        on = off[:]
+        for s in range(low):
+            off[s::low] = values[s::step]
+            on[s::low] = values[s + low :: step]
+        return off, on
     starts = range(0, size, step)
-    off = (values[s : s + low] for s in starts)
-    on = (values[s + low : s + step] for s in starts)
-    return chain.from_iterable(off), chain.from_iterable(on), False
+    off = chain.from_iterable(values[s : s + low] for s in starts)
+    on = chain.from_iterable(values[s + low : s + step] for s in starts)
+    return off, on
 
 
 def _scan_violations(model: SourceModel) -> ValidationReport:
@@ -286,7 +267,7 @@ def _scan_violations(model: SourceModel) -> ValidationReport:
         return "{" + ",".join(model.ids_from_mask(mask)) + "}"
 
     def value(mask: int) -> str:
-        return _ratio_text(h[mask], den)
+        return ratio_text(h[mask], den)
 
     if h[0] != 0:
         out.append(Violation("normalization", (0,), f"H(empty)={value(0)}, expected 0"))
@@ -367,7 +348,7 @@ def model_from_dict(obj: object) -> SourceModel:
                 pairs[mask] = parse_pair(entry["H"])
             except ValueError as exc:
                 raise ModelFormatError(str(exc)) from None
-        return EntropyTable.from_pairs(users, pairs, unit)
+        return EntropyTable(users, pairs, unit)
     raise ModelFormatError(f"unknown model type {kind!r} (expected \"packets\" or \"entropy\")")
 
 
@@ -421,17 +402,11 @@ def _canonical_model_dict(model: SourceModel) -> dict:
         body = {
             "type": "entropy",
             "users": list(model.users),
-            "entries": [{"set": t, "H": _ratio_text(v, den)} for v, t in zip(h, ids)],
+            "entries": [{"set": t, "H": ratio_text(v, den)} for v, t in zip(h, ids)],
         }
     if model.unit is not None:
         body["unit"] = model.unit
     return body
-
-
-def _ratio_text(num: int, den: int) -> str:
-    # format_rational(Fraction(num, den)), with no Fraction built
-    g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def model_digest(model: SourceModel) -> str:

@@ -92,8 +92,21 @@ def format_rational(x: Fraction | int) -> str:
     return str(x) if type(x) in (Fraction, int) else str(Fraction(x))
 
 
+def ratio_text(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for ints with ``den > 0``,
+    with no Fraction built."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def scale_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Pairs ``(p, q)``, q > 0, as ints over their least common denominator:
+    ``(ints, den)`` with ``p / q == ints[k] / den`` for ``pairs[k]``."""
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
 def to_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Rationals as ints over their least common denominator: ``(ints, den)``
     with ``values[k] == Fraction(ints[k], den)``. Ints count as over 1."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return scale_pairs([(v.numerator, v.denominator) for v in values])

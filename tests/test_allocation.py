@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -24,6 +25,7 @@ from omnirate import (
     greedy_vertices,
     in_core,
     jain_index,
+    load_model,
     min_sum_rate_asymptotic,
     min_sum_rate_non_asymptotic,
     shapley,
@@ -302,3 +304,17 @@ def test_greedy_vertices_sampling_is_partial_and_seeded():
     for v in sampled:
         assert tuple(v.rates) == greedy_marginals(trunc.values, v.order)
         assert in_core(game, v.rates)
+
+
+def test_greedy_vertices_default_seed_is_zero():
+    # 9 users: orders are sampled, so an unseeded generator would change the
+    # vertices from call to call
+    model = load_model(os.path.join(os.path.dirname(__file__), "data", "packets_n9.json"))
+    trunc = dilworth_truncate(Game(model, 4))
+    first, partial = greedy_vertices(trunc)
+    assert partial
+
+    def key(allocs):
+        return [(a.order, tuple(a.rates)) for a in allocs]
+
+    assert key(greedy_vertices(trunc)[0]) == key(first) == key(greedy_vertices(trunc, seed=0)[0])

@@ -529,10 +529,14 @@ def test_console_module_entry(example1_path):
     import subprocess
     import sys
 
+    # run from src/, which "-m" puts first on the path, so the entry point
+    # is found without PYTHONPATH or an install
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-m", "omnirate.cli", "minrate", example1_path],
         capture_output=True,
         text=True,
+        cwd=src,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["r_co"]["rational"] == "7/2"
@@ -680,3 +684,87 @@ def test_results_that_cannot_be_printed_exit_one(tmp_path):
         code, report, text, err = cli(*argv)
         assert (code, report, text) == (1, None, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def _entropy_2(**fields):
+    entries = [
+        {"set": [], "H": "0"},
+        {"set": ["1"], "H": "1"},
+        {"set": ["2"], "H": "1"},
+        {"set": ["1", "2"], "H": "2"},
+    ]
+    return {"type": "entropy", "users": ["1", "2"], "entries": entries, **fields}
+
+
+# Every structural refusal of a model file, with the message it prints.
+MALFORMED_MODELS = [
+    ([1, 2], "model file must contain a JSON object"),
+    ({"type": "packets", "unit": 5, "users": {"1": ["a"], "2": ["b"]}}, '"unit" must be a string'),
+    ({"type": "packets"}, 'packets model needs a "users" object'),
+    ({"type": "packets", "users": {"1": "a", "2": ["b"]}}, "packet list of user '1' must be a list of strings"),
+    (_entropy_2(users="12"), 'entropy model needs a "users" list of strings'),
+    ({"type": "entropy", "users": ["1", "2"]}, 'entropy model needs an "entries" list'),
+    (_entropy_2(users=["1", "1"]), "duplicate user ids"),
+    (_entropy_2(entries=[{"set": []}]), "bad entropy entry: {'set': []}"),
+    (_entropy_2(entries=["x"]), "bad entropy entry: 'x'"),
+    (_entropy_2(entries=[{"set": "1", "H": "1"}]), "bad subset in entry: {'set': '1', 'H': '1'}"),
+    (_entropy_2(entries=[{"set": ["1", "9"], "H": "1"}]), "unknown user id '9' in entry"),
+    (
+        _entropy_2(entries=[{"set": ["1"], "H": "1"}, {"set": ["1"], "H": "2"}]),
+        "duplicate entry for subset ['1']",
+    ),
+    ({"type": "graph", "users": {}}, "unknown model type 'graph' (expected \"packets\" or \"entropy\")"),
+    ({"users": {"1": ["a"]}}, "unknown model type None (expected \"packets\" or \"entropy\")"),
+]
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED_MODELS)
+def test_malformed_models_exit_one_with_their_message(tmp_path, obj, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    for command in ("validate", "minrate"):
+        assert cli(command, str(path)) == (1, None, "", f"error: {message}\n")
+
+
+def test_model_unit_is_part_of_the_digest(tmp_path):
+    digests = {}
+    for name, obj in (
+        ("plain", _entropy_2()),
+        ("bits", _entropy_2(unit="bits")),
+        ("packets", {"type": "packets", "unit": "packets", "users": {"1": ["a", "b"], "2": ["b"]}}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, report, _, _ = cli("validate", str(path))
+        assert code == 0 and report["results"]["unit"] == obj.get("unit")
+        digests[name] = report["model_digest"]
+    assert digests["bits"] != digests["plain"]
+    assert digests["bits"] == "sha256:5928d9f1dd132a470f0357667fc380e417251b0f2774242e183dfe2fff791bb2"
+    assert digests["packets"] == "sha256:fca7d36da181f4d95208e999735bc758ab7be5d2e247ad4e767222c042611403"
+
+
+def test_refusals_exit_with_their_codes(example1_path):
+    data_dir = os.path.dirname(example1_path)
+    # a non-polymatroid table is refused before any solve
+    code, report, text, err = cli("minrate", os.path.join(data_dir, "invalid_entropy_n4.json"))
+    assert (code, report, text) == (2, None, "")
+    assert err == (
+        "error: entropy table is not a polymatroid (16 violation(s); "
+        "first: H(empty)=1/2, expected 0)\n"
+    )
+    # integer enumeration below R_CO = 7/2 reports the empty core
+    code, report, _, err = cli("allocate", example1_path, "--alpha", "3", "--method", "enumerate")
+    assert (code, err) == (3, "")
+    assert report["results"] == {
+        "alpha": {"rational": "3", "decimal": 3.0},
+        "method": "enumerate",
+        "allocations": [],
+        "count": 0,
+        "core_empty": True,
+        "r_co": {"rational": "7/2", "decimal": 3.5},
+        "detail": "core is empty at alpha=3; minimum sum-rate is 7/2",
+    }
+    # the polyhedron is emitted for at most 8 users
+    code, report, text, err = cli("polyhedron", os.path.join(data_dir, "packets_n9.json"), "--alpha", "20")
+    assert (code, report, text) == (4, None, "")
+    assert err == "error: polyhedron emission is limited to 8 users, model has 9\n"

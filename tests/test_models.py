@@ -124,16 +124,16 @@ def test_entropy_table_holds_one_integer_table():
     assert all(type(table.entropy(m)) is Fraction for m in range(4))
     table = EntropyTable(["1", "2"], {0: 0, 0b01: 0.5, 0b10: "1/4", 0b11: Fraction(3, 4)})
     assert table.entropy_table == ([0, 2, 1, 3], 4)
-    # the file path builds the same table from reduced pairs
+    # the file path passes reduced pairs, which build the same table
     pairs = {0: (0, 1), 0b01: (1, 2), 0b10: (1, 3), 0b11: (5, 6)}
-    assert EntropyTable.from_pairs(["1", "2"], pairs).entropy_table == ([0, 3, 2, 5], 6)
+    assert EntropyTable(["1", "2"], pairs).entropy_table == ([0, 3, 2, 5], 6)
 
 
 def test_missing_subsets_are_counted_without_scanning_every_mask():
     # 40 users: 2^40 masks, of which the file gives three
     users = [str(i) for i in range(40)]
     with pytest.raises(ModelFormatError, match=r"missing 1099511627773 subset\(s\), e.g. \{0,1\}, \{2\}"):
-        EntropyTable.from_pairs(users, {0: (0, 1), 1: (1, 1), 2: (1, 1)})
+        EntropyTable(users, {0: (0, 1), 1: (1, 1), 2: (1, 1)})
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,10 +178,24 @@ def test_elementary_check_agrees_with_full_scan(model):
 @given(perturbed_tables(6, 8))
 def test_elementary_check_agrees_with_full_scan_up_to_8_users(model):
     # the check slices its table as blocks or as strided runs, whichever
-    # takes fewer slices, and tracks where each bit lands; 6..8 users mix
-    # the two ways on every level (the full scan is O(4^n), hence fewer runs)
+    # takes fewer slices; 6..8 users mix the two ways on every level (the
+    # full scan is O(4^n), hence fewer runs)
     h, _ = model.entropy_table
     assert models._is_polymatroid(h, model.n) == models._scan_violations(model).ok
+
+
+def test_halves_are_in_mask_order():
+    # both ways of slicing give each half indexed by its mask with bit k
+    # dropped, so a bit's place never depends on which way was taken
+    for m in range(1, 9):
+        values = list(range(100, 100 + (1 << m)))
+        for k in range(m):
+            low = (1 << k) - 1
+            expected = [
+                [values[(x & ~low) << 1 | bit << k | (x & low)] for x in range(1 << (m - 1))]
+                for bit in (0, 1)
+            ]
+            assert [list(half) for half in models._halves(values, k)] == expected, (m, k)
 
 
 @settings(max_examples=300, deadline=None)
