@@ -47,7 +47,7 @@ class Allocation:
     jain: Fraction | None = None  # None only for the all-zero vector
 
 
-# join orders: all n! of them up to this many users, seeded samples above
+# join orders: all n! of them up to this many users, a fixed sample above
 _EXACT_MAX_USERS = 8
 _SAMPLED_ORDERS = 2000
 
@@ -101,19 +101,20 @@ def greedy_vertex(trunc: TruncatedDual, order: Sequence[int]) -> Allocation:
     return _greedy_allocation(trunc, greedy_marginals(trunc.table, order), order)
 
 
-def greedy_vertices(trunc: TruncatedDual, *, seed: int = 0) -> tuple[list[Allocation], bool]:
+def greedy_vertices(trunc: TruncatedDual) -> tuple[list[Allocation], bool]:
     """All distinct greedy vertices of the core (one allocation per vertex).
 
     Exhausts every join order up to 8 users (8! orders). Larger ground sets
-    get 2000 random orders from ``random.Random(seed)`` instead, so the same
-    seed always gives the same vertices, and the second return value flags
-    the result as partial.
+    get 2000 orders shuffled by ``random.Random(0)`` instead, so every call
+    gives the same vertices, and the second return value flags the result
+    as partial. Every vertex lies in the core: the truncation is submodular
+    and equals alpha on V, and the core is its base polyhedron (Edmonds).
     """
     _require_nonempty(trunc)
     n = trunc.ground.bit_count()
     partial = n > _EXACT_MAX_USERS
     if partial:
-        rng = random.Random(seed)
+        rng = random.Random(0)
         base = list(range(n))
 
         def orders():

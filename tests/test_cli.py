@@ -1,13 +1,34 @@
+import argparse
 import io
 import json
+import math
 import os
+import random
+import re
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omnirate.cli
+import omnirate.game
+from omnirate import (
+    Game,
+    PacketModel,
+    RateVector,
+    dilworth_truncate,
+    format_rational,
+    greedy_vertices,
+    in_core,
+    load_model,
+    min_sum_rate_asymptotic,
+)
 from omnirate.cli import build_parser, json_text, run
+from omnirate.combinatorics import flip
+
+from oracles import random_entropy_table, random_packet_model
 
 
 def cli(*argv):
@@ -73,10 +94,12 @@ def test_cached_parser_keeps_no_state(example1_path):
     # one parser serves every run in a process; no flag may leak between runs
     assert build_parser() is build_parser()
     argv = ("allocate", example1_path, "--alpha", "4", "--method", "greedy")
-    code, report, _, _ = cli(*argv, "--seed", "3")
-    assert code == 0 and report["inputs"]["seed"] == 3
+    code, report, _, _ = cli(*argv, "--order", "3,1,2")
+    assert code == 0 and report["inputs"]["order"] == "3,1,2"
+    assert len(report["results"]["allocations"]) == 1
     code, report, _, _ = cli(*argv)
-    assert code == 0 and "seed" not in report["inputs"]
+    assert code == 0 and report["inputs"]["order"] is None
+    assert len(report["results"]["allocations"]) == 3
 
     code, report, _, _ = cli("allocate", example1_path, "--alpha", "4", "--method", "bogus")
     assert (code, report) == (1, None)
@@ -387,10 +410,10 @@ def test_validate_golden(example1_path, model):
         assert golden_validate_text(data_dir, model) == fh.read()
 
 
-# Sampled join orders (n! > 8!): allocate --method greedy with a seed on a
-# 9-user model at alpha = R_CO = 3. The report lists the distinct vertices of
-# 2000 seeded orders, ranked by Jain index with ties on the rates.
-GREEDY_SAMPLED_ARGV = ("allocate", "--alpha", "3", "--method", "greedy", "--seed", "3")
+# Sampled join orders (n! > 8!): allocate --method greedy on a 9-user model
+# at alpha = R_CO = 3. The report lists the distinct vertices of 2000 orders
+# shuffled by random.Random(0), ranked by Jain index with ties on the rates.
+GREEDY_SAMPLED_ARGV = ("allocate", "--alpha", "3", "--method", "greedy")
 
 
 def golden_greedy_sampled_text(data_dir: str) -> str:
@@ -408,7 +431,7 @@ def golden_greedy_sampled_text(data_dir: str) -> str:
 
 def test_allocate_greedy_sampled_golden(example1_path):
     data_dir = os.path.dirname(example1_path)
-    path = os.path.join(data_dir, "golden", "allocate_greedy_packets_n9_seed3.json")
+    path = os.path.join(data_dir, "golden", "allocate_greedy_packets_n9.json")
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     assert json.loads(text)["results"]["partial"] is True
@@ -463,6 +486,66 @@ def test_allocate_greedy_all_vertices_ranked(example1_path):
     assert rates[0] == ("2", "1", "1")  # fairest vertex first
     jains = [Fraction(a["jain"]["rational"]) for a in allocs]
     assert jains == sorted(jains, reverse=True)
+
+
+def _model_body(model) -> dict:
+    """A model file body for a packet model or an entropy table."""
+    if isinstance(model, PacketModel):
+        return {"type": "packets", "users": dict(zip(model.users, map(sorted, model.packet_sets)))}
+    h, den = model.entropy_table
+    entries = [
+        {"set": list(model.ids_from_mask(x)), "H": f"{v}/{den}"} for x, v in enumerate(h)
+    ]
+    return {"type": "entropy", "users": list(model.users), "entries": entries}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.sampled_from([2, 3, 5, 8, 9]),
+    fractional=st.booleans(),
+    step=st.sampled_from(["ceil", "ceil+1", "H(V)"]),
+    method=st.sampled_from(["greedy", "order", "shapley"]),
+)
+def test_reported_in_core_matches_the_membership_check(seed, n, fractional, step, method):
+    # allocate reports in_core without testing each allocation; the test
+    # here is the per-allocation in_core it replaced, at exact (n <= 8) and
+    # sampled (n = 9) vertex lists
+    rng = random.Random(seed)
+    model = random_entropy_table(rng, n) if fractional else random_packet_model(rng, n_users=n)
+    ceil = math.ceil(min_sum_rate_asymptotic(model).r_co)
+    h_total = model.entropy(model.full_mask)  # >= R_CO, so the core is nonempty
+    alpha = {"ceil": ceil, "ceil+1": ceil + 1, "H(V)": h_total}[step]
+    extra = ["--method", "shapley" if method == "shapley" else "greedy"]
+    if method == "order":
+        extra += ["--order", ",".join(rng.sample(model.users, n))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_model_body(model), fh)
+        code, report, _, _ = cli("allocate", path, "--alpha", str(alpha), *extra)
+    assert code == 0
+    game = Game(model, alpha)
+    checked = [
+        bool(in_core(game, RateVector.of(a["rates"]["rational"])))
+        for a in report["results"]["allocations"]
+    ]
+    assert report["results"]["in_core"] == checked == [True] * len(checked)
+
+
+def test_allocate_makes_no_core_test(example1_path, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocate called in_core")
+
+    monkeypatch.setattr(omnirate.cli, "in_core", forbidden)
+    monkeypatch.setattr(omnirate.game, "in_core", forbidden)
+    n9 = os.path.join(os.path.dirname(example1_path), "packets_n9.json")
+    for path, alpha, order in ((example1_path, "4", "2,3,1"), (n9, "3", "9,8,7,6,5,4,3,2,1")):
+        for extra in (("greedy",), ("greedy", "--order", order), ("shapley",)):
+            code, report, _, _ = cli("allocate", path, "--alpha", alpha, "--method", *extra)
+            assert code == 0
+            res = report["results"]
+            assert res["in_core"] == [True] * len(res["allocations"]) != []
 
 
 def test_polyhedron(example1_path):
@@ -576,13 +659,61 @@ def test_user_guard_rejects_non_integer(example1_path, monkeypatch, command):
     assert err.startswith("error: OMNI_MAX_USERS")
 
 
+@pytest.mark.parametrize(
+    "value, code",
+    [("3", 0), ("03", 0), ("0", 4)]
+    + [(v, 1) for v in ("1_0", " 3", "3 ", "+3", "\u0663", "-1", "", "3.0")],
+)
+def test_user_guard_takes_only_ascii_digits(example1_path, monkeypatch, value, code):
+    # int() would take "1_0", " 3", "3 ", "+3" and "\u0663"; a negative guard is no guard
+    monkeypatch.setenv("OMNI_MAX_USERS", value)
+    got, report, _, err = cli("minrate", example1_path)
+    assert got == code
+    if code == 1:
+        assert report is None
+        assert err == f"error: OMNI_MAX_USERS must be a nonnegative integer, got {value!r}\n"
+
+
 def test_usage_errors_exit_one(example1_path):
     code, _, _, _ = cli("minrate")  # missing model path
     assert code == 1
     code, _, _, _ = cli("allocate", example1_path, "--alpha", "4", "--method", "bogus")
     assert code == 1
-    code, _, _, _ = cli("minrate", example1_path, "--seed", "1")  # --seed is allocate's
+    # no command takes --seed: greedy's sample of join orders is fixed
+    code, _, _, _ = cli("minrate", example1_path, "--seed", "1")
     assert code == 1
+    code, _, _, _ = cli("allocate", example1_path, "--alpha", "4", "--method", "greedy", "--seed", "1")
+    assert code == 1
+
+
+# Every option each command accepts (the top level under ""), --help aside.
+# A new option edits this table and the README's CLI section.
+CLI_OPTIONS = {
+    "": ["--version"],
+    "validate": ["--format"],
+    "minrate": ["--format", "--mode"],
+    "core": ["--alpha", "--format", "--integer", "--rates"],
+    "allocate": ["--alpha", "--format", "--method", "--order"],
+    "polyhedron": ["--alpha", "--format"],
+}
+
+
+def _options(parser: argparse.ArgumentParser) -> list[str]:
+    return sorted(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
+
+
+def test_cli_option_set_is_pinned_and_documented():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {"": _options(parser)}
+    got.update((name, _options(sub)) for name, sub in commands.choices.items())
+    assert got == CLI_OPTIONS
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## CLI\n") : text.index("\n## Library\n")]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    assert named == {o for opts in CLI_OPTIONS.values() for o in opts}
 
 
 def test_argparse_output_goes_to_the_given_streams(capsys):
@@ -686,15 +817,20 @@ def test_results_that_cannot_be_printed_exit_one(tmp_path):
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
-def _entropy_2(**fields):
-    entries = [
+def _entries_2(a, b):
+    return [
         {"set": [], "H": "0"},
-        {"set": ["1"], "H": "1"},
-        {"set": ["2"], "H": "1"},
-        {"set": ["1", "2"], "H": "2"},
+        {"set": [a], "H": "1"},
+        {"set": [b], "H": "1"},
+        {"set": [a, b], "H": "2"},
     ]
-    return {"type": "entropy", "users": ["1", "2"], "entries": entries, **fields}
 
+
+def _entropy_2(**fields):
+    return {"type": "entropy", "users": ["1", "2"], "entries": _entries_2("1", "2"), **fields}
+
+
+UNNAMEABLE = "cannot be named: ids must be nonempty, without commas or surrounding spaces"
 
 # Every structural refusal of a model file, with the message it prints.
 MALFORMED_MODELS = [
@@ -715,6 +851,13 @@ MALFORMED_MODELS = [
     ),
     ({"type": "graph", "users": {}}, "unknown model type 'graph' (expected \"packets\" or \"entropy\")"),
     ({"users": {"1": ["a"]}}, "unknown model type None (expected \"packets\" or \"entropy\")"),
+    # ids that --order and CSV rows, which split on commas and strip the
+    # parts, could not name
+    ({"type": "packets", "users": {"": ["a"], "2": ["b"]}}, "user id '' " + UNNAMEABLE),
+    ({"type": "packets", "users": {"a,b": ["a"], "2": ["b"]}}, "user id 'a,b' " + UNNAMEABLE),
+    ({"type": "packets", "users": {" a": ["a"], "2": ["b"]}}, "user id ' a' " + UNNAMEABLE),
+    (_entropy_2(users=["1", "2\t"], entries=_entries_2("1", "2\t")), "user id '2\\t' " + UNNAMEABLE),
+    (_entropy_2(users=["1", ","], entries=_entries_2("1", ",")), "user id ',' " + UNNAMEABLE),
 ]
 
 
@@ -743,6 +886,37 @@ def test_model_unit_is_part_of_the_digest(tmp_path):
     assert digests["packets"] == "sha256:fca7d36da181f4d95208e999735bc758ab7be5d2e247ad4e767222c042611403"
 
 
+def test_polyhedron_above_eight_users_reports_sampled_vertices(example1_path):
+    # 9 users: the rows cover every subset, and the vertices are
+    # greedy_vertices' sample, in its order, flagged as partial
+    path = os.path.join(os.path.dirname(example1_path), "packets_n9.json")
+    code, report, _, _ = cli("polyhedron", path, "--alpha", "4")
+    assert code == 0
+    res = report["results"]
+    assert res["core_empty"] is False and res["partial_vertices"] is True
+    model = load_model(path)
+    game = Game(model, 4)
+    trunc = dilworth_truncate(game)
+    allocs, partial = greedy_vertices(trunc)
+    assert partial
+    assert res["vertices"] == [
+        {"rational": list(map(format_rational, a.rates)), "decimal": list(map(float, a.rates))}
+        for a in allocs
+    ]
+
+    def rows(values, den, first=0):
+        return [
+            (list(model.ids_from_mask(x)), format_rational(Fraction(v, den)))
+            for x, v in enumerate(values)
+            if x >= first
+        ]
+
+    dual, den = game.dual_ints()
+    assert [(c["set"], c["upper_bound"]["rational"]) for c in res["constraints"]] == rows(dual, den, 1)
+    for key, values in (("truncated_dual", trunc.table), ("convex_characteristic", flip(trunc.table))):
+        assert [(t["set"], t["value"]["rational"]) for t in res[key]] == rows(values, trunc.den)
+
+
 def test_refusals_exit_with_their_codes(example1_path):
     data_dir = os.path.dirname(example1_path)
     # a non-polymatroid table is refused before any solve
@@ -764,7 +938,3 @@ def test_refusals_exit_with_their_codes(example1_path):
         "r_co": {"rational": "7/2", "decimal": 3.5},
         "detail": "core is empty at alpha=3; minimum sum-rate is 7/2",
     }
-    # the polyhedron is emitted for at most 8 users
-    code, report, text, err = cli("polyhedron", os.path.join(data_dir, "packets_n9.json"), "--alpha", "20")
-    assert (code, report, text) == (4, None, "")
-    assert err == "error: polyhedron emission is limited to 8 users, model has 9\n"

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,18 @@ def test_duplicate_users_rejected():
         model_from_dict(
             {"type": "entropy", "users": ["1", "1"], "entries": []}
         )
+
+
+@pytest.mark.parametrize("bad", ["", "a,b", ",", " a", "a ", "a\n"])
+def test_user_ids_that_cannot_be_named_rejected(bad):
+    # --order and CSV rows split ids on commas, and --order strips each part
+    for build in (
+        lambda: PacketModel({bad: ["a"], "2": ["b"]}),
+        lambda: EntropyTable([bad, "2"], {0: 0, 1: 1, 2: 1, 3: 2}),
+    ):
+        with pytest.raises(ModelFormatError, match=re.escape(f"user id {bad!r} cannot be named")):
+            build()
+    assert PacketModel({"a b": ["a"], "2": ["b"]}).users == ("a b", "2")
 
 
 def test_example_table_is_valid_polymatroid(example1):
@@ -364,6 +377,12 @@ def test_entropy_table_matches_entropy(example1):
         assert len(h) == model.full_mask + 1
         assert all(Fraction(h[x], den) == model.entropy(x) for x in subsets(model.full_mask))
         assert model.is_integral() == (den == 1)
+    # a packet model's table against a direct count of the packets each subset holds
+    for model in (example1, random_packet_model(rng, n_users=6, max_packets=12)):
+        h, _ = model.entropy_table
+        for x in subsets(model.full_mask):
+            held = [model.packet_sets[i] for i in range(model.n) if x >> i & 1]
+            assert h[x] == len(frozenset().union(*held))
 
 
 def two_user_table(h12) -> dict:
