@@ -196,42 +196,66 @@ class ValidationReport:
 def validate_polymatroid(model: SourceModel) -> ValidationReport:
     """Check that the model's entropy function is a polymatroid rank function.
 
-    A pass costs n*2^(n-1) + n(n-1)/2 * 2^(n-2) integer comparisons on
-    ``model.entropy_table``, each side taken by list slicing in mask order
-    (:func:`_halves`): H(empty) = 0,
-    single-step monotonicity H(X+i) >= H(X), and the elementary inequalities
-    H(X+i) + H(X+j) >= H(X+i+j) + H(X) for i < j outside X, which imply
+    One pass decides and certifies. It makes n*2^(n-1) + n(n-1)/2 * 2^(n-2)
+    integer comparisons on ``model.entropy_table``, each side taken by list
+    slicing in mask order (:func:`_halves`): H(empty) = 0, single-step
+    monotonicity H(X+i) >= H(X), and the elementary inequalities
+    H(X+i) + H(X+j) >= H(X+i+j) + H(X) for i < j outside X. These imply
     submodularity on every pair (Fujishige, *Submodular Functions and
-    Optimization*). Only a table that fails them pays for the full scan on
-    the same ints, which lists every violation: H(empty) != 0, every
-    failing single-element step, and every unordered incomparable pair with
-    H(X)+H(Y) < H(X|Y)+H(X&Y) (comparable pairs hold with equality). An
-    empty report is a pass.
+    Optimization*), so their failures are a complete certificate: the report
+    is empty exactly when the table is a polymatroid. It lists H(empty) != 0,
+    then every failing step (X, X+i) by X and then i, then every failing
+    elementary pair (X+j, X+i) by (X+j, X+i); at most
+    1 + n*2^(n-1) + n(n-1)/2 * 2^(n-2) entries.
     """
-    h, _ = model.entropy_table
-    if _is_polymatroid(h, model.n):
-        return ValidationReport(())
-    return _scan_violations(model)
-
-
-def _is_polymatroid(h: list[int], n: int) -> bool:
+    h, den = model.entropy_table
+    steps: list[tuple[int, int]] = []  # failing (X, X+i)
+    pairs: list[tuple[int, int]] = []  # failing (X+j, X+i)
     # For user i, gain[X] = h(X+i) - h(X) on the masks X without i, indexed
-    # with bit i dropped. The table passes iff h(empty) = 0, every gain is
-    # >= 0 (single-step monotonicity) and gain[X] >= gain[X+j] for every
-    # j > i and X without i and j (the elementary inequality, symmetric in
-    # i and j); bit j of a mask is bit j - 1 of gain's index.
-    if h[0] != 0:
-        return False
-    for i in range(n):
+    # with bit i dropped. A step fails where a gain is < 0, and the
+    # elementary inequality for j > i where gain[X] < gain[X+j] (it is
+    # symmetric in i and j); bit j of a mask is bit j - 1 of gain's index.
+    for i in range(model.n):
         without, with_i = _halves(h, i)
         gain = list(map(sub, with_i, without))
         if min(gain) < 0:
-            return False
-        for j in range(i + 1, n):
+            steps += [(x, x | 1 << i) for x in (_widen(c, i) for c, g in enumerate(gain) if g < 0)]
+        for j in range(i + 1, model.n):
             without, with_j = _halves(gain, j - 1)
             if not all(map(ge, without, with_j)):
-                return False
-    return True
+                # the halves may be iterators that all() has consumed
+                for d, (a, b) in enumerate(zip(*_halves(gain, j - 1))):
+                    if a < b:
+                        x = _widen(_widen(d, j - 1), i)
+                        pairs.append((x | 1 << j, x | 1 << i))
+
+    def name(mask: int) -> str:
+        return "{" + ",".join(model.ids_from_mask(mask)) + "}"
+
+    def value(mask: int) -> str:
+        return ratio_text(h[mask], den)
+
+    out = [Violation("normalization", (0,), f"H(empty)={value(0)}, expected 0")] if h[0] else []
+    out += [
+        Violation("monotonicity", (x, y), f"H({name(x)})={value(x)} > H({name(y)})={value(y)}")
+        for x, y in sorted(steps)
+    ]
+    out += [
+        Violation(
+            "submodularity",
+            (x, y),
+            f"H({name(x)})+H({name(y)}) < H({name(x | y)})+H({name(x & y)})",
+        )
+        for x, y in sorted(pairs)
+    ]
+    return ValidationReport(tuple(out))
+
+
+def _widen(x: int, k: int) -> int:
+    """The mask at index x of a half that :func:`_halves` took at bit k:
+    x with a clear bit k put back."""
+    low = (1 << k) - 1
+    return (x & ~low) << 1 | (x & low)
 
 
 def _halves(values: list[int], k: int) -> tuple[Iterable[int], Iterable[int]]:
@@ -256,45 +280,6 @@ def _halves(values: list[int], k: int) -> tuple[Iterable[int], Iterable[int]]:
     off = chain.from_iterable(values[s : s + low] for s in starts)
     on = chain.from_iterable(values[s + low : s + step] for s in starts)
     return off, on
-
-
-def _scan_violations(model: SourceModel) -> ValidationReport:
-    h, den = model.entropy_table
-    full = model.full_mask
-    out: list[Violation] = []
-
-    def name(mask: int) -> str:
-        return "{" + ",".join(model.ids_from_mask(mask)) + "}"
-
-    def value(mask: int) -> str:
-        return ratio_text(h[mask], den)
-
-    if h[0] != 0:
-        out.append(Violation("normalization", (0,), f"H(empty)={value(0)}, expected 0"))
-    for x in range(full):
-        for i in bits(full & ~x):
-            y = x | (1 << i)
-            if h[y] < h[x]:
-                out.append(
-                    Violation(
-                        "monotonicity",
-                        (x, y),
-                        f"H({name(x)})={value(x)} > H({name(y)})={value(y)}",
-                    )
-                )
-    for x in range(1, full + 1):
-        hx = h[x]
-        for y in range(1, x):
-            # unordered pairs; a comparable pair holds with equality
-            if hx + h[y] < h[x | y] + h[x & y]:
-                out.append(
-                    Violation(
-                        "submodularity",
-                        (x, y),
-                        f"H({name(x)})+H({name(y)}) < H({name(x | y)})+H({name(x & y)})",
-                    )
-                )
-    return ValidationReport(tuple(out))
 
 
 def model_from_dict(obj: object) -> SourceModel:

@@ -472,6 +472,22 @@ def fraction_scan_violations(model) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+def elementary_violations(model, full: ValidationReport | None = None) -> ValidationReport:
+    """:func:`fraction_scan_violations` (or ``full``, when the caller has
+    it) cut to the elementary certificate: normalization, monotonicity, and
+    the pairs (X+j, X+i) with i, j outside X, which differ in two users and
+    each hold one the other lacks."""
+    full = full if full is not None else fraction_scan_violations(model)
+    return ValidationReport(
+        tuple(
+            v
+            for v in full.violations
+            if v.kind != "submodularity"
+            or ((v.sets[0] ^ v.sets[1]).bit_count() == 2 and (v.sets[0] & ~v.sets[1]).bit_count() == 1)
+        )
+    )
+
+
 def fraction_greedy_vertices(trunc: TruncatedDual, orders) -> list[Allocation]:
     """The distinct greedy vertices along ``orders``, each with the first
     order that reaches it, from the Fraction view ``trunc.values``."""

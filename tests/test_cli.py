@@ -139,6 +139,46 @@ def test_validate_invalid_table(tmp_path):
     assert any(v["kind"] == "normalization" for v in report["results"]["violations"])
 
 
+def test_validate_report_is_bounded_at_12_users(tmp_path):
+    # a weighted coverage table on 12 users with H(V minus user 1) raised by
+    # 5: the report is the one pass's certificate, at most the normalization
+    # entry, n*2^(n-1) steps and C(n,2)*2^(n-2) elementary pairs, not the
+    # O(4^n) list of every failing pair
+    n = 12
+    rng = random.Random(n)
+    weights = [rng.choice([2, 3, 4, 6]) for _ in range(24)]
+    held = [sum(1 << k for k in range(24) if rng.random() < 0.4) for _ in range(n)]
+    unions = [0]
+    for mask in held:
+        unions += [u | mask for u in unions]
+    h = [sum(w for k, w in enumerate(weights) if u >> k & 1) for u in unions]
+    h[((1 << n) - 1) & ~1] += 5
+    users = [str(i + 1) for i in range(n)]
+    entries = [
+        {"set": [u for i, u in enumerate(users) if x >> i & 1], "H": str(v)} for x, v in enumerate(h)
+    ]
+    path = tmp_path / "raised.json"
+    path.write_text(json.dumps({"type": "entropy", "users": users, "entries": entries}))
+    code, report, _, _ = cli("validate", str(path))
+    violations = report["results"]["violations"]
+    assert code == 2 and violations
+    assert len(violations) <= 1 + n * 2 ** (n - 1) + math.comb(n, 2) * 2 ** (n - 2)
+    model = load_model(str(path), validate=False)
+    H = model.entropy
+    for v in violations:
+        masks = [model.mask_from_ids(ids) for ids in v["sets"]]
+        if v["kind"] == "normalization":
+            assert masks == [0] and H(0) != 0
+        elif v["kind"] == "monotonicity":
+            x, y = masks
+            assert (x ^ y).bit_count() == 1 and y & ~x and H(x) > H(y)
+        else:
+            x, y = masks
+            # an elementary pair: X+j and X+i
+            assert (x ^ y).bit_count() == 2 and (x & ~y).bit_count() == 1
+            assert H(x) + H(y) < H(x | y) + H(x & y)
+
+
 def test_validate_missing_file(tmp_path):
     code, report, _, err = cli("validate", str(tmp_path / "nope.json"))
     assert code == 1
@@ -392,8 +432,9 @@ def test_noncanonical_digest_golden(example1_path):
         assert golden_digest_text(data_dir) == fh.read()
 
 
-# Validation reports list every violation with its detail string; one valid
-# fractional table and one with violations of all three kinds.
+# Validation reports list each failing elementary inequality with its
+# detail string; one valid fractional table and one with violations of all
+# three kinds.
 VALIDATE_GOLDEN_MODELS = ("entropy_n6", "invalid_entropy_n4")
 
 
@@ -923,7 +964,7 @@ def test_refusals_exit_with_their_codes(example1_path):
     code, report, text, err = cli("minrate", os.path.join(data_dir, "invalid_entropy_n4.json"))
     assert (code, report, text) == (2, None, "")
     assert err == (
-        "error: entropy table is not a polymatroid (16 violation(s); "
+        "error: entropy table is not a polymatroid (11 violation(s); "
         "first: H(empty)=1/2, expected 0)\n"
     )
     # integer enumeration below R_CO = 7/2 reports the empty core

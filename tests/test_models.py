@@ -23,6 +23,7 @@ from omnirate import (
 
 from oracles import (
     conditional_entropy,
+    elementary_violations,
     fraction_scan_violations,
     random_entropy_table,
     random_packet_model,
@@ -178,13 +179,15 @@ def perturbed_tables(draw, min_users: int, max_users: int) -> EntropyTable:
     return EntropyTable([str(i + 1) for i in range(n)], {m: Fraction(v, den) for m, v in values.items()})
 
 
-@settings(max_examples=400, deadline=None)
-@given(perturbed_tables(2, 5))
+@settings(max_examples=300, deadline=None)
+@given(perturbed_tables(2, 6))
 def test_elementary_check_agrees_with_full_scan(model):
-    # validate_polymatroid runs the full pair scan only when the elementary
-    # check fails, so the two must agree on pass or fail
-    h, _ = model.entropy_table
-    assert models._is_polymatroid(h, model.n) == models._scan_violations(model).ok
+    # the report is the elementary certificate, entry for entry and byte for
+    # byte, and it passes or fails with the full Fraction pair scan
+    full = fraction_scan_violations(model)
+    report = validate_polymatroid(model)
+    assert report == elementary_violations(model, full)
+    assert report.ok == full.ok
 
 
 @settings(max_examples=30, deadline=None)
@@ -193,8 +196,10 @@ def test_elementary_check_agrees_with_full_scan_up_to_8_users(model):
     # the check slices its table as blocks or as strided runs, whichever
     # takes fewer slices; 6..8 users mix the two ways on every level (the
     # full scan is O(4^n), hence fewer runs)
-    h, _ = model.entropy_table
-    assert models._is_polymatroid(h, model.n) == models._scan_violations(model).ok
+    full = fraction_scan_violations(model)
+    report = validate_polymatroid(model)
+    assert report == elementary_violations(model, full)
+    assert report.ok == full.ok
 
 
 def test_halves_are_in_mask_order():
@@ -211,14 +216,18 @@ def test_halves_are_in_mask_order():
             assert [list(half) for half in models._halves(values, k)] == expected, (m, k)
 
 
-@settings(max_examples=300, deadline=None)
-@given(perturbed_tables(2, 6))
-def test_scan_matches_the_fraction_scan(model):
-    # the integer scan against the Fraction scan it replaced: the whole
-    # report, every violation's sets and detail string in the same order
-    expected = fraction_scan_violations(model)
-    assert models._scan_violations(model) == expected
-    assert validate_polymatroid(model) == expected
+def test_widen_puts_back_the_bit_halves_dropped():
+    # _widen(x, k) is the mask at index x of either half at bit k, without
+    # bit k; dropping bit k again gives x back
+    for m in range(1, 9):
+        values = list(range(1 << m))
+        for k in range(m):
+            off, on = map(list, models._halves(values, k))
+            for x in range(1 << (m - 1)):
+                mask = models._widen(x, k)
+                assert not mask >> k & 1
+                assert (off[x], on[x]) == (mask, mask | 1 << k), (m, k, x)
+                assert mask >> (k + 1) << k | (mask & ((1 << k) - 1)) == x
 
 
 def test_scan_matches_the_fraction_scan_on_every_kind():
@@ -228,7 +237,22 @@ def test_scan_matches_the_fraction_scan_on_every_kind():
     model = EntropyTable(["1", "2", "3"], dict(enumerate(h)))
     report = validate_polymatroid(model)
     assert {v.kind for v in report.violations} == {"normalization", "monotonicity", "submodularity"}
-    assert report == fraction_scan_violations(model)
+    assert report == elementary_violations(model)
+
+
+def test_report_leaves_out_pairs_that_are_not_elementary():
+    # H(X) = |X| with H(V) raised by 1: every incomparable pair fails, but
+    # the report keeps only the pairs of two-user sets; a user and the
+    # other two differ in three users
+    h = [x.bit_count() for x in range(8)]
+    h[0b111] += 1
+    model = EntropyTable(["1", "2", "3"], dict(enumerate(h)))
+    full = fraction_scan_violations(model).violations
+    report = validate_polymatroid(model)
+    one_and_two = [(0b100, 0b011), (0b101, 0b010), (0b110, 0b001)]
+    assert [v.sets for v in report.violations] == [(0b101, 0b011), (0b110, 0b011), (0b110, 0b101)]
+    assert set(one_and_two) <= {v.sets for v in full}
+    assert report.violations == tuple(v for v in full if v.sets not in one_and_two)
 
 
 def test_monotone_and_conditional_nonnegative(example1):
