@@ -230,6 +230,22 @@ def test_widen_puts_back_the_bit_halves_dropped():
                 assert mask >> (k + 1) << k | (mask & ((1 << k) - 1)) == x
 
 
+@settings(max_examples=300, deadline=None)
+@given(perturbed_tables(2, 6))
+def test_scan_matches_the_fraction_scan(model):
+    # the report against the Fraction scan, without the oracle's cut: its
+    # normalization and monotonicity entries are the scan's, and its pairs
+    # are the scan's in the same order with the same detail strings
+    full = fraction_scan_violations(model).violations
+    report = validate_polymatroid(model).violations
+    assert [v for v in report if v.kind != "submodularity"] == [
+        v for v in full if v.kind != "submodularity"
+    ]
+    rest = iter(full)
+    assert all(any(v == w for w in rest) for v in report)
+    assert (not report) == (not full)
+
+
 def test_scan_matches_the_fraction_scan_on_every_kind():
     # a fractional table with H(empty) != 0, two failing steps and a
     # failing incomparable pair
