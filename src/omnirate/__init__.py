@@ -11,7 +11,6 @@ is exact rational.
 from .allocation import (
     Allocation,
     CoreEmptyError,
-    IntegralityError,
     enumerate_integer_core,
     fairness_compare,
     greedy_vertex,
@@ -42,6 +41,7 @@ from .game import (
 )
 from .models import (
     EntropyTable,
+    IntegralityError,
     InvalidModelError,
     ModelFormatError,
     PacketModel,
@@ -55,9 +55,6 @@ from .models import (
 )
 from .rationals import format_rational, parse_rational
 from .sumrate import (
-    ASYMPTOTIC,
-    FLAG_NON_INTEGER_ENTROPY,
-    NON_ASYMPTOTIC,
     MmiResult,
     NonemptinessCertificate,
     SumRateReport,
@@ -71,18 +68,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
-    "ASYMPTOTIC",
     "ConvexCharacteristic",
     "CoreEmptyError",
     "Decision",
     "EntropyTable",
-    "FLAG_NON_INTEGER_ENTROPY",
     "Game",
     "IntegralityError",
     "InvalidModelError",
     "MmiResult",
     "ModelFormatError",
-    "NON_ASYMPTOTIC",
     "NonemptinessCertificate",
     "PacketModel",
     "Partition",

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 from .combinatorics import flip, subsets
 from .dilworth import TruncatedDual, dilworth_truncate, greedy_marginals
 from .game import Game, RateVector
+from .models import IntegralityError
 from .rationals import format_rational, to_ints
 
 
@@ -33,10 +34,6 @@ class CoreEmptyError(ValueError):
         )
         self.alpha = alpha
         self.partition_min = partition_min
-
-
-class IntegralityError(ValueError):
-    """Integer-rate enumeration asked for on a non-integer game."""
 
 
 @dataclass(frozen=True)
@@ -166,11 +163,7 @@ def enumerate_integer_core(game: Game) -> list[tuple[int, ...]]:
         raise IntegralityError(
             f"integer-rate enumeration needs an integer alpha, got {format_rational(game.alpha)}"
         )
-    if not game.model.is_integral():
-        raise IntegralityError(
-            "integer-rate enumeration needs integer entropies; "
-            "this model has fractional values"
-        )
+    game.model.require_integral()
     trunc = dilworth_truncate(game)
     if not trunc.core_nonempty:
         return []

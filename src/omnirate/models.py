@@ -55,6 +55,10 @@ class InvalidModelError(ValueError):
         self.report = report
 
 
+class IntegralityError(ValueError):
+    """Integer rates asked for where an entropy or alpha is fractional."""
+
+
 class SourceModel:
     """Base class: a user set plus an entropy function H on its subsets."""
 
@@ -110,6 +114,13 @@ class SourceModel:
     def is_integral(self) -> bool:
         """True when every subset entropy is an integer."""
         return self.entropy_table[1] == 1
+
+    def require_integral(self) -> None:
+        """Raise :class:`IntegralityError` unless :meth:`is_integral`."""
+        if not self.is_integral():
+            raise IntegralityError(
+                "integer rates need integer entropies; this model has fractional values"
+            )
 
 
 class PacketModel(SourceModel):
@@ -348,20 +359,28 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
+def _read_json(path: str) -> object:
+    """The parsed JSON of a model file, before any check of its body."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=_reject_duplicate_keys)
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an int over the digit limit, or too deep nesting
+        raise ModelFormatError(f"malformed JSON in {path}: {exc}") from exc
+
+
 def load_model(path: str, *, validate: bool = True) -> SourceModel:
     """Load a model file; with ``validate`` (default) reject non-polymatroids.
 
     Packet models are skipped by validation: union cardinality is a matroid
     rank, hence always a polymatroid.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, object_pairs_hook=_reject_duplicate_keys)
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # bad JSON or UTF-8, an int over the digit limit, or too deep nesting
-        raise ModelFormatError(f"malformed JSON in {path}: {exc}") from exc
+    return _build_model(_read_json(path), validate)
+
+
+def _build_model(obj: object, validate: bool) -> SourceModel:
     model = model_from_dict(obj)
     if validate and isinstance(model, EntropyTable):
         report = validate_polymatroid(model)

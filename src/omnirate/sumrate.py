@@ -11,17 +11,12 @@ of the same solve as I(V) = H(V) - R_CO, with the same partition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .combinatorics import Partition, min_partition, partition_min_table
 from .game import Game
 from .models import SourceModel
-
-ASYMPTOTIC = "asymptotic"
-NON_ASYMPTOTIC = "non-asymptotic"
-
-FLAG_NON_INTEGER_ENTROPY = "non-integer-entropy"
 
 
 @dataclass(frozen=True)
@@ -45,12 +40,10 @@ class MmiResult:
 
 @dataclass(frozen=True)
 class SumRateReport:
-    model_kind: str  # ASYMPTOTIC | NON_ASYMPTOTIC
     r_co: Fraction
     argmax_partition: Partition
     mmi: Fraction
     h_total: Fraction
-    flags: tuple[str, ...] = ()
 
 
 def core_nonempty(game: Game) -> NonemptinessCertificate:
@@ -101,26 +94,20 @@ def min_sum_rate_asymptotic(model: SourceModel) -> SumRateReport:
     r_co = Fraction(p, q * den)
     h_v = Fraction(h_total, den)
     part = min_partition(full, cost, table)
-    return SumRateReport(ASYMPTOTIC, r_co, part, h_v - r_co, h_v)
+    return SumRateReport(r_co, part, h_v - r_co, h_v)
 
 
 def min_sum_rate_non_asymptotic(model: SourceModel) -> SumRateReport:
     """Minimum total rate when every rate must be an integer.
 
-    Ceiling of the asymptotic value. Meaningful for packet-style models with
-    integer entropies; a non-integer entropy table gets the value as written
-    plus a report flag.
+    The ceiling of the asymptotic value, which on integer-entropy
+    (packet-style) models is the coded-cooperative-data-exchange minimum.
+    Refuses a model with fractional entropies with :class:`IntegralityError`,
+    since there the ceiling can fall below the integer minimum.
     """
+    model.require_integral()
     base = min_sum_rate_asymptotic(model)
-    flags = () if model.is_integral() else (FLAG_NON_INTEGER_ENTROPY,)
-    return SumRateReport(
-        NON_ASYMPTOTIC,
-        Fraction(math.ceil(base.r_co)),
-        base.argmax_partition,
-        base.mmi,
-        base.h_total,
-        flags,
-    )
+    return replace(base, r_co=Fraction(math.ceil(base.r_co)))
 
 
 def mmi(model: SourceModel) -> MmiResult:

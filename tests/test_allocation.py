@@ -102,7 +102,7 @@ def test_greedy_on_example(example1):
 
 def test_greedy_rejects_non_permutations(example1):
     trunc = dilworth_truncate(Game(example1, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"permutation of 0\.\.2"):
         greedy_vertex(trunc, (0, 0, 1))
 
 
@@ -209,7 +209,7 @@ def test_integer_core_refusals(example1):
         ["1", "2"],
         {0: F(0), 0b01: F(1, 2), 0b10: F(1, 2), 0b11: F(3, 4)},
     )
-    with pytest.raises(IntegralityError):
+    with pytest.raises(IntegralityError, match="integer rates need integer entropies"):
         enumerate_integer_core(Game(table, 1))
 
 

@@ -329,9 +329,9 @@ REPORT_GOLDEN_CASES = {
         ("shapley below R_CO", ("allocate", "--alpha", "27", "--method", "shapley")),
     ],
     # seeded fractional 6-user entropy table: R_CO = 117/4
+    # (--mode integer refuses it: see test_integer_minrate_refuses_fractional_tables)
     "entropy_n6": [
         ("minrate asymptotic", ("minrate", "--mode", "asymptotic")),
-        ("minrate integer", ("minrate", "--mode", "integer")),
         ("core at R_CO", ("core", "--alpha", "117/4")),
         ("core below R_CO", ("core", "--alpha", "29")),
         ("shapley at R_CO", ("allocate", "--alpha", "117/4", "--method", "shapley")),
@@ -630,23 +630,35 @@ def test_reports_are_reproducible(example1_path):
     assert first["results"] == second["results"]
 
 
-def test_fractional_table_flags_surface_in_report(tmp_path):
+def test_integer_minrate_refuses_fractional_tables(tmp_path, example1_path):
+    # H({1}) = H({2}) = 1/2, H({1,2}) = 1: R_CO = 1, but the integer minimum
+    # is 2 (core --alpha 1 --integer admits neither 1,0 nor 0,1)
     obj = {
         "type": "entropy",
         "users": ["1", "2"],
         "entries": [
             {"set": [], "H": "0"},
-            {"set": ["1"], "H": "3/2"},
-            {"set": ["2"], "H": "3/2"},
-            {"set": ["1", "2"], "H": "2"},
+            {"set": ["1"], "H": "1/2"},
+            {"set": ["2"], "H": "1/2"},
+            {"set": ["1", "2"], "H": "1"},
         ],
     }
     path = tmp_path / "frac.json"
     path.write_text(json.dumps(obj))
-    code, report, _, _ = cli("minrate", str(path), "--mode", "integer")
-    assert code == 0
-    assert report["results"]["flags"] == ["non-integer-entropy"]
-    assert report["results"]["r_co"]["rational"] == "1"
+    for alpha, rates, member in (("1", "1,0", False), ("1", "0,1", False), ("2", "1,1", True)):
+        _, report, _, _ = cli("core", str(path), "--alpha", alpha, "--rates", rates, "--integer")
+        assert report["results"]["member"] is member
+    entropy_n6 = os.path.join(os.path.dirname(example1_path), "entropy_n6.json")
+    for model, alpha in ((str(path), "2"), (entropy_n6, "30")):
+        refused = cli("minrate", model, "--mode", "integer")
+        assert refused == (
+            4,
+            None,
+            "",
+            "error: integer rates need integer entropies; this model has fractional values\n",
+        )
+        # the same single error line as integer-core enumeration
+        assert cli("allocate", model, "--alpha", alpha, "--method", "enumerate") == refused
 
 
 def test_console_module_entry(example1_path):
@@ -689,6 +701,22 @@ def test_user_guard(example1_path, monkeypatch):
     code, _, _, err = cli("minrate", example1_path)
     assert code == 4
     assert "OMNI_MAX_USERS" in err
+
+
+def test_user_guard_comes_before_the_table(tmp_path):
+    # 13 users and no entries: the size refusal comes before the missing
+    # 8192 subsets are counted, and before any table is built
+    obj = {"type": "entropy", "users": [str(u) for u in range(1, 14)], "entries": []}
+    path = tmp_path / "n13.json"
+    path.write_text(json.dumps(obj))
+    for command in ("validate", "minrate"):
+        assert cli(command, str(path)) == (
+            4,
+            None,
+            "",
+            "error: model has 13 users, above the OMNI_MAX_USERS guard (12); "
+            "the algorithms here are exponential by design\n",
+        )
 
 
 @pytest.mark.parametrize("command", ["minrate", "validate"])
@@ -979,3 +1007,42 @@ def test_refusals_exit_with_their_codes(example1_path):
         "r_co": {"rational": "7/2", "decimal": 3.5},
         "detail": "core is empty at alpha=3; minimum sum-rate is 7/2",
     }
+
+
+# One command of each kind, run in a fresh interpreter per hash seed: a
+# report that followed the iteration order of a set of strings would differ.
+_HASH_SEED_SCRIPT = """
+import sys
+from omnirate.cli import run
+for argv in (
+    ["validate", "entropy_n6.json"],
+    ["validate", "invalid_entropy_n4.json"],
+    ["minrate", "packets_n8.json", "--mode", "integer"],
+    ["minrate", "entropy_n6.json"],
+    ["core", "entropy_n6.json", "--alpha", "117/4"],
+    ["core", "example1.json", "--alpha", "4", "--rates", "4,0,0"],
+    ["allocate", "packets_n9.json", "--alpha", "3", "--method", "greedy"],
+    ["allocate", "example1.json", "--alpha", "5", "--method", "enumerate"],
+    ["polyhedron", "example1.json", "--alpha", "4"],
+):
+    argv[1] = sys.argv[1] + "/" + argv[1]
+    print(run(argv))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(example1_path):
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, os.path.dirname(example1_path)],
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            check=True,
+        )
+        outputs.append(re.sub(rb'"timing_ms": [^\n]*', b"", proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b'"command"') == 9

@@ -6,6 +6,7 @@ import pytest
 
 from omnirate import (
     Game,
+    PacketModel,
     RateVector,
     convex_characteristic,
     core_nonempty,
@@ -75,6 +76,20 @@ def test_convex_characteristic_on_example(example1):
         example1.full_mask: 4,
     }
     assert {x: conv.values[x] for x in sorted(conv.values)} == expected
+
+
+def test_only_the_truncated_game_is_convex():
+    # at alpha = R_CO = 1 the core is nonempty, yet the untruncated game is
+    # not convex: v({1,3}) + v({2,3}) = 2 > v(V) + v({3}) = 1
+    model = PacketModel({"1": ["a"], "2": ["b"], "3": ["a", "b"]})
+    assert min_sum_rate_asymptotic(model).r_co == 1
+    game = Game(model, 1)
+    full = model.full_mask
+    verdict = check_supermodular({x: game.char_value(x) for x in subsets(full)}, full)
+    assert not verdict
+    assert sorted(verdict.witness) == masks(model, ["1", "3"], ["2", "3"])
+    conv = convex_characteristic(dilworth_truncate(game))
+    assert check_supermodular(dict(conv.values), full)
 
 
 def test_modularity_checks_on_example(example1):

@@ -1,15 +1,18 @@
+import os
 import random
 import time
 from fractions import Fraction
 
+import pytest
+
+import omnirate.sumrate
 from omnirate import (
-    ASYMPTOTIC,
-    FLAG_NON_INTEGER_ENTROPY,
-    NON_ASYMPTOTIC,
     EntropyTable,
     Game,
+    IntegralityError,
     PacketModel,
     core_nonempty,
+    load_model,
     min_partition_sum,
     min_sum_rate_asymptotic,
     min_sum_rate_non_asymptotic,
@@ -31,14 +34,11 @@ F = Fraction
 
 def test_example_min_sum_rates(example1):
     asym = min_sum_rate_asymptotic(example1)
-    assert asym.model_kind == ASYMPTOTIC
     assert asym.r_co == F(7, 2)
     assert asym.h_total == 6
     assert asym.argmax_partition.blocks == (0b001, 0b010, 0b100)
     integer = min_sum_rate_non_asymptotic(example1)
-    assert integer.model_kind == NON_ASYMPTOTIC
     assert integer.r_co == 4
-    assert integer.flags == ()
 
 
 def test_example_core_nonemptiness(example1):
@@ -148,19 +148,13 @@ def test_non_asymptotic_identity_via_floored_mmi():
         assert rep.r_co == rep.h_total - floored
 
 
-def test_fractional_table_flagged():
-    vals = {
-        0: F(0),
-        0b01: F(3, 2),
-        0b10: F(3, 2),
-        0b11: F(2),
-    }
-    model = EntropyTable(["1", "2"], vals)
-    rep = min_sum_rate_non_asymptotic(model)
-    assert FLAG_NON_INTEGER_ENTROPY in rep.flags
-    # ceiling of max((2-3/2)+(2-3/2))/1 = ceil(1) = 1
-    assert rep.r_co == 1
-    assert min_sum_rate_asymptotic(model).flags == ()
+def test_fractional_table_refused():
+    # R_CO = 1, but neither (1, 0) nor (0, 1) is in the integer core at
+    # alpha = 1: the integer minimum is 2, so the ceiling of R_CO is refused
+    model = EntropyTable(["1", "2"], {0: F(0), 0b01: F(1, 2), 0b10: F(1, 2), 0b11: F(1)})
+    assert min_sum_rate_asymptotic(model).r_co == 1
+    with pytest.raises(IntegralityError, match="integer rates need integer entropies"):
+        min_sum_rate_non_asymptotic(model)
 
 
 def test_certificate_partition_reproduces_value(example1):
@@ -217,3 +211,23 @@ def test_minrate_at_the_user_guard():
     assert core_nonempty(Game(model, rep.r_co))
     assert not core_nonempty(Game(model, rep.r_co - F(1, 12)))
     assert elapsed < 2, f"took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize(
+    "name, passes",
+    [("example1", 1), ("identical_users", 1), ("packets_n8", 1), ("packets_n9", 2), ("entropy_n6", 3)],
+)
+def test_dinkelbach_pass_count(monkeypatch, name, passes):
+    # the iteration starts at the singleton partition's ratio; starting at
+    # lambda = 0 gives the same R_CO after more engine passes
+    calls = []
+    engine = omnirate.sumrate.partition_min_table
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(omnirate.sumrate, "partition_min_table", counted)
+    model = load_model(os.path.join(os.path.dirname(__file__), "data", name + ".json"))
+    min_sum_rate_asymptotic(model)
+    assert len(calls) == passes
