@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from operator import ge, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -389,31 +390,28 @@ def _build_model(obj: object, validate: bool) -> SourceModel:
     return model
 
 
-def _canonical_model_dict(model: SourceModel) -> dict:
-    """Canonical JSON-ready form of the model (user order preserved)."""
+def model_digest(model: SourceModel) -> str:
+    """SHA-256 of the model's canonical JSON, for traceable reports (README
+    spells out the bytes). A table's entries are written from its ints."""
     if isinstance(model, PacketModel):
-        body: dict = {
-            "type": "packets",
-            "users": {u: sorted(ps) for u, ps in zip(model.users, model.packet_sets)},
-        }
+        users = {u: sorted(ps) for u, ps in zip(model.users, model.packet_sets)}
+        body: dict = {"type": "packets", "users": users}
+        head = "{"
     else:
-        # ids[x] lists the users in mask x: the masks with user u are those
-        # without it, plus u
-        ids: list[list[str]] = [[]]
+        # ids[x] is ",id,id..." for the users in mask x: the masks with
+        # user u are those without it, plus u
+        ids = [""]
         for u in model.users:
-            ids += [t + [u] for t in ids]
+            text = "," + encode_basestring_ascii(u)
+            ids += [t + text for t in ids]
         h, den = model.entropy_table
-        body = {
-            "type": "entropy",
-            "users": list(model.users),
-            "entries": [{"set": t, "H": ratio_text(v, den)} for v, t in zip(h, ids)],
-        }
+        entries = ",".join(
+            f'{{"H":"{ratio_text(v, den)}","set":[{t[1:]}]}}' for v, t in zip(h, ids)
+        )
+        body = {"type": "entropy", "users": list(model.users)}
+        # "entries" sorts before every other key, where sort_keys puts it
+        head = '{"entries":[' + entries + "],"
     if model.unit is not None:
         body["unit"] = model.unit
-    return body
-
-
-def model_digest(model: SourceModel) -> str:
-    """Content hash of the canonicalized model, for traceable reports."""
-    blob = json.dumps(_canonical_model_dict(model), separators=(",", ":"), sort_keys=True)
+    blob = head + json.dumps(body, separators=(",", ":"), sort_keys=True)[1:]
     return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()

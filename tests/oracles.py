@@ -7,6 +7,8 @@ the package under test.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -501,3 +503,30 @@ def fraction_greedy_vertices(trunc: TruncatedDual, orders) -> list[Allocation]:
         jain = jain_index(rates) if any(rates) else None
         out.append(Allocation(RateVector(rates), "greedy", tuple(order), jain))
     return out
+
+
+def canonical_digest(model) -> str:
+    """``model_digest`` the obvious way: the model as one JSON-ready dict,
+    a ``{"set": [...], "H": ...}`` dict per subset, hashed as
+    ``json.dumps(..., separators=(",", ":"), sort_keys=True)``."""
+    if isinstance(model, PacketModel):
+        body: dict = {
+            "type": "packets",
+            "users": {u: sorted(ps) for u, ps in zip(model.users, model.packet_sets)},
+        }
+    else:
+        # ids[x] lists the users in mask x: the masks with user u are those
+        # without it, plus u
+        ids: list[list[str]] = [[]]
+        for u in model.users:
+            ids += [t + [u] for t in ids]
+        h, den = model.entropy_table
+        body = {
+            "type": "entropy",
+            "users": list(model.users),
+            "entries": [{"set": t, "H": format_rational(Fraction(v, den))} for v, t in zip(h, ids)],
+        }
+    if model.unit is not None:
+        body["unit"] = model.unit
+    blob = json.dumps(body, separators=(",", ":"), sort_keys=True)
+    return "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -416,11 +416,12 @@ def test_membership_entropy_golden(example1_path):
         assert golden_reports_text(data_dir, "entropy_n6", MEMBERSHIP_ENTROPY_GOLDEN_CASES) == fh.read()
 
 
-def golden_digest_text(data_dir: str) -> str:
-    """The digest and validation of a table whose "H" strings are not in
-    lowest terms ("2.50", "10/4", "-0", "1e1", " 3 ", "+12.5", Arabic-Indic
-    digits): the digest hashes the canonical values, not the file's text."""
-    code, report, _, _ = cli("validate", os.path.join(data_dir, "noncanonical_entropy_n3.json"))
+def golden_digest_text(data_dir: str, model: str = "noncanonical_entropy_n3") -> str:
+    """The digest and validation of a table. By default its "H" strings are
+    not in lowest terms ("2.50", "10/4", "-0", "1e1", " 3 ", "+12.5",
+    Arabic-Indic digits): the digest hashes the canonical values, not the
+    file's text."""
+    code, report, _, _ = cli("validate", os.path.join(data_dir, model + ".json"))
     pinned = {"exit": code, "model_digest": report["model_digest"], "results": report["results"]}
     return json.dumps(pinned, indent=2) + "\n"
 
@@ -430,6 +431,16 @@ def test_noncanonical_digest_golden(example1_path):
     path = os.path.join(data_dir, "golden", "digest_noncanonical_entropy_n3.json")
     with open(path, encoding="utf-8") as fh:
         assert golden_digest_text(data_dir) == fh.read()
+
+
+def test_escaped_ids_digest_golden(example1_path):
+    # ids with a quote, a backslash, a non-ASCII and an astral character, and
+    # a unit with a tab, quotes, a backslash and a control character: each
+    # is written as an ASCII escape in the hashed JSON
+    data_dir = os.path.dirname(example1_path)
+    path = os.path.join(data_dir, "golden", "digest_escaped_ids_entropy_n3.json")
+    with open(path, encoding="utf-8") as fh:
+        assert golden_digest_text(data_dir, "escaped_ids_entropy_n3") == fh.read()
 
 
 # Validation reports list each failing elementary inequality with its

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 import pytest
@@ -11,10 +12,12 @@ from omnirate import (
     convex_characteristic,
     core_nonempty,
     dilworth_truncate,
+    in_core,
     min_partition_sum,
     min_sum_rate_asymptotic,
     min_sum_rate_non_asymptotic,
     partition_min_table,
+    shapley,
     subsets,
 )
 
@@ -90,6 +93,27 @@ def test_only_the_truncated_game_is_convex():
     assert sorted(verdict.witness) == masks(model, ["1", "3"], ["2", "3"])
     conv = convex_characteristic(dilworth_truncate(game))
     assert check_supermodular(dict(conv.values), full)
+
+
+def test_only_the_truncated_games_shapley_value_is_in_the_core():
+    # the model above at alpha = R_CO = 1: the untruncated game's Shapley
+    # value, averaged over the 3! join orders, breaks the coalition {1,3}
+    model = PacketModel({"1": ["a"], "2": ["b"], "3": ["a", "b"]})
+    game = Game(model, 1)
+    rates = [F(0)] * 3
+    for order in permutations(range(3)):
+        joined = 0
+        for i in order:
+            rates[i] += (game.char_value(joined | 1 << i) - game.char_value(joined)) / 6
+            joined |= 1 << i
+    assert rates == [F(1, 6), F(1, 6), F(2, 3)]
+    decision = in_core(game, RateVector(tuple(rates)))
+    assert not decision
+    assert (decision.kind, decision.witness) == ("coalition", model.mask_from_ids(["1", "3"]))
+    assert decision.detail == "r(X)=5/6 < f(X)=1 for X={1,3}"
+    truncated = shapley(dilworth_truncate(game))
+    assert truncated.rates.rates == (0, 0, 1)
+    assert in_core(game, truncated.rates)
 
 
 def test_modularity_checks_on_example(example1):

@@ -23,10 +23,13 @@ from omnirate import (
 )
 from omnirate.cli import run
 
+from oracles import canonical_digest
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
-# ids a model may name, ids that cannot be named, and ids that are not strings
-IDS = ["1", "2", "3", "4", "é", "", "a,b", " 5"]
+# ids a model may name (some that the digest must escape), ids that cannot
+# be named, and ids that are not strings
+IDS = ["1", "2", "3", "4", "é", 'q"x', "b\\s", "\x07", "𝄞", "", "a,b", " 5"]
 NOT_STRINGS = [1, None, True, 2.5, ["1"], {"1": "a"}]
 # entropy values: exact rationals, negatives, floats, and text the parser refuses
 H_VALUES = [
@@ -111,7 +114,7 @@ def test_model_from_dict_refuses_only_with_format_errors(obj):
         return
     # whatever it builds can be validated and digested
     validate_polymatroid(model)
-    model_digest(model)
+    assert model_digest(model) == canonical_digest(model)
 
 
 @pytest.fixture(scope="module")

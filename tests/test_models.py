@@ -22,6 +22,7 @@ from omnirate import (
 )
 
 from oracles import (
+    canonical_digest,
     conditional_entropy,
     elementary_violations,
     fraction_scan_violations,
@@ -396,6 +397,36 @@ def test_digest_ignores_packet_order(example1):
         }
     )
     assert model_digest(shuffled) == model_digest(example1)
+
+
+# characters JSON escapes (quote, backslash, control characters, and
+# non-ASCII ones up to the astral planes), or any other
+ESCAPED_CHARS = st.one_of(st.sampled_from(list('a1"\\\x00\x07\n\x7fé\u2028𝄞')), st.characters())
+NAMEABLE_IDS = st.text(ESCAPED_CHARS, min_size=1, max_size=4).filter(
+    lambda u: "," not in u and u == u.strip()
+)
+UNITS = st.one_of(st.none(), st.just('b"i\\t\ts\x01é𝄞'), st.text(ESCAPED_CHARS, max_size=4))
+
+
+@st.composite
+def digest_models(draw):
+    """A packet model or an entropy table (any values) on 2..6 users with
+    ids that need escapes, with or without a unit."""
+    users = draw(st.lists(NAMEABLE_IDS, min_size=2, max_size=6, unique=True))
+    unit = draw(UNITS)
+    if draw(st.booleans()):
+        packets = st.lists(st.text(ESCAPED_CHARS, max_size=3), max_size=4)
+        return PacketModel({u: draw(packets) for u in users}, unit)
+    size = 1 << len(users)
+    pairs = draw(st.lists(st.tuples(st.integers(-50, 50), st.integers(1, 12)), min_size=size, max_size=size))
+    return EntropyTable(users, {m: Fraction(p, q) for m, (p, q) in enumerate(pairs)}, unit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digest_models())
+def test_digest_matches_the_canonical_dict(model):
+    # the digest writes its JSON by hand; the oracle dumps one dict per entry
+    assert model_digest(model) == canonical_digest(model)
 
 
 @pytest.mark.parametrize("bad_id", [["1"], {"1": "2"}])
