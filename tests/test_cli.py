@@ -268,6 +268,36 @@ def test_allocate_core_empty_exit(example1_path):
     assert report["results"]["r_co"]["rational"] == "7/2"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--method", "greedy"),
+        ("--method", "greedy", "--order", "2,1,3"),
+        # shapley reads no join order, so a bad one does not stop it
+        ("--method", "shapley", "--order", "1,1,3"),
+    ],
+)
+def test_allocate_empty_core_report(example1_path, extra):
+    code, report, _, err = cli("allocate", example1_path, "--alpha", "3", *extra)
+    assert (code, err) == (3, "")
+    assert report["results"] == {
+        "alpha": {"rational": "3", "decimal": 3.0},
+        "method": extra[1],
+        "core_empty": True,
+        "r_co": {"rational": "7/2", "decimal": 3.5},
+        "detail": "core is empty at alpha=3; minimum sum-rate is 7/2",
+    }
+
+
+@pytest.mark.parametrize("alpha,order", [("3", "1,1,3"), ("4", "")])
+def test_allocate_bad_order_exits_one_on_any_core(example1_path, alpha, order):
+    # the order is parsed before the emptiness check: a bad one is an input error
+    argv = ("allocate", example1_path, "--alpha", alpha, "--method", "greedy", "--order", order)
+    code, report, text, err = cli(*argv)
+    assert (code, report, text) == (1, None, "")
+    assert err == "error: --order must be a permutation of the users 1,2,3\n"
+
+
 def test_allocate_enumerate(example1_path):
     code, report, _, _ = cli("allocate", example1_path, "--alpha", "4", "--method", "enumerate")
     assert code == 0
