@@ -56,7 +56,6 @@ from .models import (
 from .rationals import format_rational, parse_rational
 from .sumrate import (
     MmiResult,
-    NonemptinessCertificate,
     SumRateReport,
     core_nonempty,
     min_sum_rate_asymptotic,
@@ -77,7 +76,6 @@ __all__ = [
     "InvalidModelError",
     "MmiResult",
     "ModelFormatError",
-    "NonemptinessCertificate",
     "PacketModel",
     "Partition",
     "RateVector",

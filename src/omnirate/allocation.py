@@ -51,7 +51,7 @@ _SAMPLED_ORDERS = 2000
 
 def _require_nonempty(trunc: TruncatedDual) -> None:
     if not trunc.core_nonempty:
-        raise CoreEmptyError(trunc.alpha, Fraction(trunc.table[trunc.ground], trunc.den))
+        raise CoreEmptyError(trunc.alpha, trunc.partition_min)
 
 
 def shapley(trunc: TruncatedDual) -> Allocation:

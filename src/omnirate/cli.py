@@ -33,7 +33,6 @@ from typing import Sequence
 from . import __version__
 from .allocation import (
     Allocation,
-    CoreEmptyError,
     enumerate_integer_core,
     fairness_compare,
     greedy_vertex,
@@ -243,16 +242,16 @@ def cmd_core(args) -> tuple[dict, int]:
     inputs = _echo_inputs(args, alpha=args.alpha, rates=args.rates, integer=args.integer)
     out = _report("core", model, inputs)
     if args.rates is None:
-        status = core_nonempty(game)
+        trunc = core_nonempty(game)
         out["results"] = {
             "alpha": _q(alpha),
-            "nonempty": status.nonempty,
-            "partition_min": _q(status.partition_min),
+            "nonempty": trunc.core_nonempty,
+            "partition_min": _q(trunc.partition_min),
         }
         out["certificates"] = {
-            "min_partition": _partition_json(model, status.certificate),
+            "min_partition": _partition_json(model, trunc.certificate),
         }
-        code = EXIT_OK if status.nonempty else EXIT_CORE_EMPTY
+        code = EXIT_OK if trunc.core_nonempty else EXIT_CORE_EMPTY
     else:
         r = _parse_rates(model, args.rates)
         decision = in_core(game, r, integer_mode=args.integer)
@@ -282,49 +281,46 @@ def cmd_allocate(args) -> tuple[dict, int]:
     game = Game(model, alpha)
     inputs = _echo_inputs(args, alpha=args.alpha, method=args.method, order=args.order)
     out = _report("allocate", model, inputs)
-    out["results"]["alpha"] = _q(alpha)
-    out["results"]["method"] = args.method
-
-    def core_empty_payload() -> int:
-        r_co = min_sum_rate_asymptotic(model).r_co
-        out["results"]["core_empty"] = True
-        out["results"]["r_co"] = _q(r_co)
-        out["results"]["detail"] = (
-            f"core is empty at alpha={format_rational(alpha)}; "
-            f"minimum sum-rate is {format_rational(r_co)}"
-        )
-        return EXIT_CORE_EMPTY
-
-    code = EXIT_OK
-    if args.method in ("shapley", "greedy"):
+    results = out["results"]
+    results["alpha"] = _q(alpha)
+    results["method"] = args.method
+    if args.method == "enumerate":
+        vectors = enumerate_integer_core(game)
+        results["allocations"] = [
+            _allocation_json("enumerated", None, r, jain_or_none(r)) for r in vectors
+        ]
+        results["count"] = len(vectors)
+        nonempty = bool(vectors)
+    else:
+        # shapley reads no order; a bad one for greedy is an input error on any core
+        order = None
+        if args.method == "greedy" and args.order is not None:
+            order = _parse_order(model, args.order)
         trunc = dilworth_truncate(game)
-        try:
+        nonempty = trunc.core_nonempty
+        if nonempty:
             if args.method == "shapley":
-                allocs = [shapley(trunc)]
-                partial = False
-            elif args.order is not None:
-                allocs = [greedy_vertex(trunc, _parse_order(model, args.order))]
-                partial = False
+                allocs, partial = [shapley(trunc)], False
+            elif order is not None:
+                allocs, partial = [greedy_vertex(trunc, order)], False
             else:
                 allocs, partial = greedy_vertices(trunc)
                 allocs = fairness_compare(allocs)
-        except CoreEmptyError:
-            code = core_empty_payload()
-        else:
-            out["results"]["allocations"] = [_vertex_json(model, a) for a in allocs]
-            out["results"]["partial"] = partial
+            results["allocations"] = [_vertex_json(model, a) for a in allocs]
+            results["partial"] = partial
             # a nonempty core makes the Dilworth-truncated game convex, so its Shapley
             # value and greedy vertices lie in the core (Shapley 1971; Edmonds 1970)
-            out["results"]["in_core"] = [True] * len(allocs)
-    else:  # enumerate
-        vectors = enumerate_integer_core(game)
-        out["results"]["allocations"] = [
-            _allocation_json("enumerated", None, r, jain_or_none(r)) for r in vectors
-        ]
-        out["results"]["count"] = len(vectors)
-        if not vectors:
-            code = core_empty_payload()
-    return out, code
+            results["in_core"] = [True] * len(allocs)
+    if nonempty:
+        return out, EXIT_OK
+    r_co = min_sum_rate_asymptotic(model).r_co
+    results["core_empty"] = True
+    results["r_co"] = _q(r_co)
+    results["detail"] = (
+        f"core is empty at alpha={format_rational(alpha)}; "
+        f"minimum sum-rate is {format_rational(r_co)}"
+    )
+    return out, EXIT_CORE_EMPTY
 
 
 def cmd_polyhedron(args) -> tuple[dict, int]:
@@ -337,9 +333,8 @@ def cmd_polyhedron(args) -> tuple[dict, int]:
     game = Game(model, alpha)
     trunc = dilworth_truncate(game)
     out = _report("polyhedron", model, _echo_inputs(args, alpha=args.alpha))
-    dual, den = game.dual_ints()
     constraints = [
-        {"set": _subset_json(model, x), "upper_bound": _ratio_json(dual[x], den)}
+        {"set": _subset_json(model, x), "upper_bound": _ratio_json(trunc.dual[x], trunc.den)}
         for x in subsets(model.full_mask, nonempty=True)
     ]
     truncated = [

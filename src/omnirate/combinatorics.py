@@ -79,15 +79,12 @@ def partitions(ground: int, *, proper: bool = False) -> Iterator[Partition]:
     raise NotImplementedError("partition enumeration moved to tests/oracles.py")
 
 
-def partition_min_table(ground: int, cost: Sequence[int], *, proper: bool = False) -> list[int]:
+def partition_min_table(ground: int, cost: Sequence[int]) -> list[int]:
     """Minimum block-cost sum over the partitions of every sub-mask of ``ground``.
 
     ``cost`` is a list of ints indexed by mask. The table is f(empty) = 0 and
     f(X) = min over blocks S containing the lowest element of X of
     cost(S) + f(X minus S); fixing that element counts each partition once.
-    With ``proper``, the single block S = ground costs more than the
-    singletons together, so f(ground) is the minimum over partitions into
-    two or more blocks.
 
     Ties prefer fewer blocks: a block costs ``cost[S] * (m + 1) + 1`` with
     m = |ground|, so each entry is ``value * (m + 1) + blocks`` (split it
@@ -97,10 +94,6 @@ def partition_min_table(ground: int, cost: Sequence[int], *, proper: bool = Fals
     """
     width = ground.bit_count() + 1
     enc = [c * width + 1 for c in cost]
-    if proper:
-        if ground & (ground - 1) == 0:
-            raise ValueError("a partition into two or more blocks needs two or more elements")
-        enc[ground] = sum(enc[1 << i] for i in bits(ground)) + 1
     table = [0] * (ground + 1)
     x = 0
     while x != ground:
@@ -124,9 +117,7 @@ def min_partition(ground: int, cost: Sequence[int], table: Sequence[int]) -> Par
 
     Ties: fewer blocks (already in the table), then the lexicographically
     smallest block list, blocks compared as ascending index tuples ({0,1,3}
-    before {0,2}). Built greedily from the lowest element, O(m * 2^m). A
-    proper table needs no flag: the encoded block count keeps the single
-    block from tying with it.
+    before {0,2}). Built greedily from the lowest element, O(m * 2^m).
     """
     width = ground.bit_count() + 1
     blocks = []

@@ -2,10 +2,11 @@
 
 Both reduce to the integer partition-minimum engine
 (:func:`~omnirate.combinatorics.partition_min_table`). The core is nonempty
-iff the dual's partition minimum equals alpha. The minimum sum-rate R_CO, a
-maximum ratio over proper partitions, is found by a parametric (Dinkelbach)
-iteration of the same engine; the multivariate mutual information comes out
-of the same solve as I(V) = H(V) - R_CO, with the same partition.
+iff the dual's partition minimum, the Dilworth truncation at the ground set,
+equals alpha. The minimum sum-rate R_CO, a maximum ratio over proper
+partitions, is found by a parametric (Dinkelbach) iteration of the same
+engine; the multivariate mutual information comes out of the same solve as
+I(V) = H(V) - R_CO, with the same partition.
 """
 
 from __future__ import annotations
@@ -15,21 +16,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .combinatorics import Partition, min_partition, partition_min_table
+from .dilworth import TruncatedDual, dilworth_truncate
 from .game import Game
 from .models import SourceModel
-
-
-@dataclass(frozen=True)
-class NonemptinessCertificate:
-    """Partition-minimum certificate for an upper base polyhedron."""
-
-    nonempty: bool
-    value: Fraction  # g(ground), = alpha for the CO game
-    partition_min: Fraction
-    certificate: Partition
-
-    def __bool__(self) -> bool:
-        return self.nonempty
 
 
 @dataclass(frozen=True)
@@ -46,18 +35,11 @@ class SumRateReport:
     h_total: Fraction
 
 
-def core_nonempty(game: Game) -> NonemptinessCertificate:
-    """Is the core of the game nonempty at its alpha? Certificate included.
-
-    One engine pass over the integer-scaled dual, as in the truncation,
-    plus the certificate.
-    """
-    dual, den = game.dual_ints()
-    full = game.full_mask
-    table = partition_min_table(full, dual)
-    value = table[full] // (game.model.n + 1)
-    part = min_partition(full, dual, table)
-    return NonemptinessCertificate(value == dual[full], game.alpha, Fraction(value, den), part)
+def core_nonempty(game: Game) -> TruncatedDual:
+    """Is the core of the game nonempty at its alpha? The Dilworth
+    truncation answers (it is true exactly then) and certifies it: its
+    ``partition_min`` and ``certificate`` come from the same engine pass."""
+    return dilworth_truncate(game)
 
 
 def min_sum_rate_asymptotic(model: SourceModel) -> SumRateReport:
@@ -85,7 +67,9 @@ def min_sum_rate_asymptotic(model: SourceModel) -> SumRateReport:
     p, q = sum(h_total - h[1 << i] for i in range(n)), n - 1
     while True:
         cost = [p - q * (h_total - x) for x in h]
-        table = partition_min_table(full, cost, proper=True)
+        # the single block costs more than the singletons, so it never wins
+        cost[full] = sum(cost[1 << i] for i in range(n)) + 1
+        table = partition_min_table(full, cost)
         value, blocks = divmod(table[full], n + 1)
         if value >= p:  # nothing beats lambda (value > p cannot happen)
             break

@@ -278,6 +278,11 @@ def test_fairness_compare_ranks_by_jain(example1):
     assert fairness_compare(same) == same  # stable on full ties
 
 
+def test_fairness_compare_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="nothing to compare"):
+        fairness_compare([])
+
+
 def test_fairness_compare_breaks_jain_ties_lexicographically():
     a = Allocation(RateVector.of([3, 1, 0]), "greedy", None, F(8, 15))
     b = Allocation(RateVector.of([3, 0, 1]), "greedy", None, F(8, 15))

@@ -10,7 +10,6 @@ from omnirate import (
     PacketModel,
     RateVector,
     convex_characteristic,
-    core_nonempty,
     dilworth_truncate,
     in_core,
     min_partition_sum,
@@ -189,7 +188,6 @@ def test_int_table_is_the_fraction_view_and_decides_nonemptiness():
                 trunc = dilworth_truncate(game)
                 for x in subsets(model.full_mask):
                     assert F(trunc.table[x], trunc.den) == trunc.values[x]
-                assert trunc.core_nonempty == core_nonempty(game).nonempty
                 assert trunc.core_nonempty == (game.alpha >= r_co)
                 empty += not trunc.core_nonempty
     assert empty >= 10

@@ -68,6 +68,9 @@ def test_duplicate_users_rejected():
         model_from_dict(
             {"type": "entropy", "users": ["1", "1"], "entries": []}
         )
+    # the constructors check the ids themselves, whatever built their input
+    with pytest.raises(ModelFormatError, match="duplicate user ids"):
+        EntropyTable(["1", "1"], {0: 0, 1: 1, 2: 1, 3: 2})
 
 
 @pytest.mark.parametrize("bad", ["", "a,b", ",", " a", "a ", "a\n"])
@@ -90,6 +93,13 @@ def test_entropy_table_roundtrip(example1):
     table = EntropyTable(example1.users, table_of(example1))
     assert table_of(table) == table_of(example1)
     assert validate_polymatroid(table).ok
+
+
+def test_report_is_true_exactly_when_valid(example1):
+    assert bool(validate_polymatroid(example1)) is True
+    vals = table_of(example1)
+    vals[0] = Fraction(1)
+    assert bool(validate_polymatroid(EntropyTable(example1.users, vals))) is False
 
 
 def test_normalization_violation_detected(example1):

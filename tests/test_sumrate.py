@@ -100,10 +100,10 @@ def test_threshold_and_monotone_nonemptiness():
         seen_true = False
         for alpha in sorted(grid):
             status = core_nonempty(Game(model, alpha))
-            assert status.nonempty
+            assert status.core_nonempty
             if seen_true:
-                assert status.nonempty  # once nonempty, stays nonempty
-            seen_true = seen_true or status.nonempty
+                assert status.core_nonempty  # once nonempty, stays nonempty
+            seen_true = seen_true or status.core_nonempty
 
 
 def test_threshold_equivalence_of_both_forms():
@@ -117,7 +117,7 @@ def test_threshold_equivalence_of_both_forms():
         for alpha in {F(0), r_co, r_co + F(1, 3), max(r_co - F(1, 4), F(0)), h}:
             game = Game(model, alpha)
             status = core_nonempty(game)
-            assert status.nonempty == (alpha >= r_co)
+            assert status.core_nonempty == (alpha >= r_co)
             # restricted comparison against proper partitions only
             proper_min = min(
                 (
@@ -126,7 +126,7 @@ def test_threshold_equivalence_of_both_forms():
                 ),
                 default=None,
             )
-            assert status.nonempty == (proper_min >= alpha)
+            assert status.core_nonempty == (proper_min >= alpha)
 
 
 def test_non_asymptotic_gap_within_unit():
@@ -193,6 +193,22 @@ def test_parametric_r_co_matches_bell_scan():
         assert (res.value, res.partition) == scan_mmi(model)
         assert res.value == brute_mmi(model)
         assert rep.r_co == rep.h_total - res.value
+
+
+def test_core_certificate_matches_the_partition_scan():
+    # core_nonempty is the truncation: its value at V, its certificate under
+    # the tie rule and its truth value, each against every partition
+    for model in _bell_scan_cases():
+        r_co = min_sum_rate_asymptotic(model).r_co
+        for alpha in {max(r_co - F(1, 3), F(0)), r_co}:
+            game = Game(model, alpha)
+            status = core_nonempty(game)
+            value, _, _, part = min(
+                (sum((game.dual_value(c) for c in p), F(0)), len(p), p.key(), p)
+                for p in partitions(model.full_mask)
+            )
+            assert (status.partition_min, status.certificate) == (value, part)
+            assert bool(status) is status.core_nonempty is (alpha >= r_co)
 
 
 def test_minrate_at_the_user_guard():
