@@ -671,6 +671,74 @@ def test_reports_are_reproducible(example1_path):
     assert first["results"] == second["results"]
 
 
+# The report envelope and the echoed inputs, in order, of every command and
+# option; "<model>" stands for the model path. The goldens pin only
+# results and certificates.
+ENVELOPE_CASES = [
+    (("validate", "entropy_n6"), 0, []),
+    (("validate", "invalid_entropy_n4"), 2, []),
+    (("minrate", "example1"), 0, [("mode", "asymptotic")]),
+    (("minrate", "example1", "--mode", "integer"), 0, [("mode", "integer")]),
+    (("core", "example1", "--alpha", "7/2"), 0, [("alpha", "7/2"), ("rates", None), ("integer", False)]),
+    (("core", "example1", "--alpha", "3"), 3, [("alpha", "3"), ("rates", None), ("integer", False)]),
+    (
+        ("core", "example1", "--alpha", "4", "--rates", "4,0,0"),
+        0,
+        [("alpha", "4"), ("rates", "4,0,0"), ("integer", False)],
+    ),
+    (
+        ("core", "example1", "--integer", "--alpha", "4", "--rates", "2,1,1"),
+        0,
+        [("alpha", "4"), ("rates", "2,1,1"), ("integer", True)],
+    ),
+    (
+        ("allocate", "example1", "--alpha", "4", "--method", "shapley"),
+        0,
+        [("alpha", "4"), ("method", "shapley"), ("order", None)],
+    ),
+    (
+        ("allocate", "example1", "--alpha", "4", "--method", "greedy"),
+        0,
+        [("alpha", "4"), ("method", "greedy"), ("order", None)],
+    ),
+    (
+        ("allocate", "example1", "--order", "3,1,2", "--alpha", "4", "--method", "greedy"),
+        0,
+        [("alpha", "4"), ("method", "greedy"), ("order", "3,1,2")],
+    ),
+    (
+        ("allocate", "example1", "--alpha", "5", "--method", "enumerate"),
+        0,
+        [("alpha", "5"), ("method", "enumerate"), ("order", None)],
+    ),
+    (
+        ("allocate", "example1", "--alpha", "3", "--method", "shapley"),
+        3,
+        [("alpha", "3"), ("method", "shapley"), ("order", None)],
+    ),
+    (("polyhedron", "example1", "--alpha", "4"), 0, [("alpha", "4")]),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, extra", ENVELOPE_CASES)
+def test_report_envelope_and_inputs_are_pinned(example1_path, argv, exit_code, extra):
+    command, model, *rest = argv
+    path = os.path.join(os.path.dirname(example1_path), model + ".json")
+    code, report, _, err = cli(command, path, *rest)
+    assert (code, err) == (exit_code, "")
+    assert list(report) == [
+        "command",
+        "model_digest",
+        "inputs",
+        "results",
+        "certificates",
+        "timing_ms",
+    ]
+    assert report["command"] == command
+    inputs = [(k, "<model>" if k == "model" and v == path else v) for k, v in report["inputs"].items()]
+    assert inputs == [("model", "<model>"), ("format", "json"), *extra]
+
+
 def test_integer_minrate_refuses_fractional_tables(tmp_path, example1_path):
     # H({1}) = H({2}) = 1/2, H({1,2}) = 1: R_CO = 1, but the integer minimum
     # is 2 (core --alpha 1 --integer admits neither 1,0 nor 0,1)
