@@ -171,26 +171,8 @@ def _parse_order(model: SourceModel, text: str) -> tuple[int, ...]:
     return tuple(model.index_of(u) for u in ids)
 
 
-def _report(command: str, model: SourceModel, inputs: dict) -> dict:
-    # timing_ms is filled in by run once the command returns
-    return {
-        "command": command,
-        "model_digest": model_digest(model),
-        "inputs": inputs,
-        "results": {},
-        "certificates": {},
-        "timing_ms": None,
-    }
-
-
-def _echo_inputs(args, **extra) -> dict:
-    return {"model": args.model, "format": args.format, **extra}
-
-
-def cmd_validate(args) -> tuple[dict, int]:
-    model = _load(args, validate=False)
+def cmd_validate(args, model: SourceModel, out: dict) -> int:
     report = validate_polymatroid(model)
-    out = _report("validate", model, _echo_inputs(args))
     out["results"] = {
         "valid": report.ok,
         "model_type": model.kind,
@@ -205,18 +187,16 @@ def cmd_validate(args) -> tuple[dict, int]:
             for v in report.violations
         ],
     }
-    return out, EXIT_OK if report.ok else EXIT_INVALID_MODEL
+    return EXIT_OK if report.ok else EXIT_INVALID_MODEL
 
 
-def cmd_minrate(args) -> tuple[dict, int]:
-    model = _load(args)
+def cmd_minrate(args, model: SourceModel, out: dict) -> int:
     if args.mode == "asymptotic":
         rep = min_sum_rate_asymptotic(model)
         identity = rep.h_total - rep.mmi
     else:
         rep = min_sum_rate_non_asymptotic(model)
         identity = rep.h_total - math.floor(rep.mmi)
-    out = _report("minrate", model, _echo_inputs(args, mode=args.mode))
     out["results"] = {
         "mode": args.mode,
         "r_co": _q(rep.r_co),
@@ -232,15 +212,12 @@ def cmd_minrate(args) -> tuple[dict, int]:
         # MMI is minimised by the same partition (I = H(V) - R_CO per partition)
         "mmi_partition": _partition_json(model, rep.argmax_partition),
     }
-    return out, EXIT_OK
+    return EXIT_OK
 
 
-def cmd_core(args) -> tuple[dict, int]:
-    model = _load(args)
+def cmd_core(args, model: SourceModel, out: dict) -> int:
     alpha = _parse_alpha(args.alpha)
     game = Game(model, alpha)
-    inputs = _echo_inputs(args, alpha=args.alpha, rates=args.rates, integer=args.integer)
-    out = _report("core", model, inputs)
     if args.rates is None:
         trunc = core_nonempty(game)
         out["results"] = {
@@ -251,36 +228,31 @@ def cmd_core(args) -> tuple[dict, int]:
         out["certificates"] = {
             "min_partition": _partition_json(model, trunc.certificate),
         }
-        code = EXIT_OK if trunc.core_nonempty else EXIT_CORE_EMPTY
-    else:
-        r = _parse_rates(model, args.rates)
-        decision = in_core(game, r, integer_mode=args.integer)
-        dual = dual_membership(game, r) if r.total() == alpha else None
-        out["results"] = {
-            "alpha": _q(alpha),
-            "rates": _qv(r),
-            "member": decision.holds,
-            "integer_mode": args.integer,
-            "dual_form_member": dual.holds if dual is not None else None,
+        return EXIT_OK if trunc.core_nonempty else EXIT_CORE_EMPTY
+    r = _parse_rates(model, args.rates)
+    decision = in_core(game, r, integer_mode=args.integer)
+    dual = dual_membership(game, r) if r.total() == alpha else None
+    out["results"] = {
+        "alpha": _q(alpha),
+        "rates": _qv(r),
+        "member": decision.holds,
+        "integer_mode": args.integer,
+        "dual_form_member": dual.holds if dual is not None else None,
+    }
+    if not decision.holds:
+        out["certificates"]["witness"] = {
+            "kind": decision.kind,
+            "subset": _subset_json(model, decision.witness)
+            if decision.kind in ("coalition", "sum", "upper")
+            else model.users[decision.witness],
+            "detail": decision.detail,
         }
-        if not decision.holds:
-            out["certificates"]["witness"] = {
-                "kind": decision.kind,
-                "subset": _subset_json(model, decision.witness)
-                if decision.kind in ("coalition", "sum", "upper")
-                else model.users[decision.witness],
-                "detail": decision.detail,
-            }
-        code = EXIT_OK
-    return out, code
+    return EXIT_OK
 
 
-def cmd_allocate(args) -> tuple[dict, int]:
-    model = _load(args)
+def cmd_allocate(args, model: SourceModel, out: dict) -> int:
     alpha = _parse_alpha(args.alpha)
     game = Game(model, alpha)
-    inputs = _echo_inputs(args, alpha=args.alpha, method=args.method, order=args.order)
-    out = _report("allocate", model, inputs)
     results = out["results"]
     results["alpha"] = _q(alpha)
     results["method"] = args.method
@@ -312,7 +284,7 @@ def cmd_allocate(args) -> tuple[dict, int]:
             # value and greedy vertices lie in the core (Shapley 1971; Edmonds 1970)
             results["in_core"] = [True] * len(allocs)
     if nonempty:
-        return out, EXIT_OK
+        return EXIT_OK
     r_co = min_sum_rate_asymptotic(model).r_co
     results["core_empty"] = True
     results["r_co"] = _q(r_co)
@@ -320,19 +292,16 @@ def cmd_allocate(args) -> tuple[dict, int]:
         f"core is empty at alpha={format_rational(alpha)}; "
         f"minimum sum-rate is {format_rational(r_co)}"
     )
-    return out, EXIT_CORE_EMPTY
+    return EXIT_CORE_EMPTY
 
 
-def cmd_polyhedron(args) -> tuple[dict, int]:
+def cmd_polyhedron(args, model: SourceModel, out: dict) -> int:
     """The dual constraints, the truncated-dual and convex-characteristic
     tables, and the core's greedy vertices as :func:`greedy_vertices` lists
     them: every vertex up to 8 users, a fixed sample of join orders above
     that, flagged by ``partial_vertices``."""
-    model = _load(args)
     alpha = _parse_alpha(args.alpha)
-    game = Game(model, alpha)
-    trunc = dilworth_truncate(game)
-    out = _report("polyhedron", model, _echo_inputs(args, alpha=args.alpha))
+    trunc = dilworth_truncate(Game(model, alpha))
     constraints = [
         {"set": _subset_json(model, x), "upper_bound": _ratio_json(trunc.dual[x], trunc.den)}
         for x in subsets(model.full_mask, nonempty=True)
@@ -362,7 +331,7 @@ def cmd_polyhedron(args) -> tuple[dict, int]:
         "vertices": vertices,
         "partial_vertices": partial,
     }
-    return out, EXIT_OK
+    return EXIT_OK
 
 
 def _emit_csv(report: dict, out: io.TextIOBase) -> None:
@@ -455,6 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
+    # listed after common, so that every report echoes model and format first
+    at_alpha = argparse.ArgumentParser(add_help=False)
+    at_alpha.add_argument("--alpha", required=True, help="sum-rate, e.g. 4 or 7/2 or 3.5")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser(
@@ -470,16 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "core", parents=[common], help="core nonemptiness or rate-vector membership"
+        "core", parents=[common, at_alpha], help="core nonemptiness or rate-vector membership"
     )
-    p.add_argument("--alpha", required=True, help="sum-rate, e.g. 4 or 7/2 or 3.5")
     p.add_argument("--rates", default=None, help="comma-separated rates to test")
     p.add_argument(
         "--integer", action="store_true", help="also require integer rates for membership"
     )
 
-    p = sub.add_parser("allocate", parents=[common], help="compute rate allocations")
-    p.add_argument("--alpha", required=True, help="sum-rate, e.g. 4 or 7/2")
+    p = sub.add_parser("allocate", parents=[common, at_alpha], help="compute rate allocations")
     p.add_argument(
         "--method", choices=("shapley", "greedy", "enumerate"), required=True
     )
@@ -489,10 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="user join order for greedy, e.g. 1,2,3 (default: all vertices)",
     )
 
-    p = sub.add_parser(
-        "polyhedron", parents=[common], help="emit plot-ready constraint and vertex data"
+    sub.add_parser(
+        "polyhedron", parents=[common, at_alpha], help="emit plot-ready constraint and vertex data"
     )
-    p.add_argument("--alpha", required=True, help="sum-rate, e.g. 4 or 7/2")
 
     return parser
 
@@ -521,7 +490,19 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     started = time.perf_counter()
     try:
-        report, code = COMMANDS[args.command](args)
+        model = _load(args, validate=args.command != "validate")
+        # inputs echoes every option of the command, defaults included, in
+        # the order the parser declares them; the command fills in results
+        # and certificates, and timing_ms is set once it returns
+        report = {
+            "command": args.command,
+            "model_digest": model_digest(model),
+            "inputs": {k: v for k, v in vars(args).items() if k != "command"},
+            "results": {},
+            "certificates": {},
+            "timing_ms": None,
+        }
+        code = COMMANDS[args.command](args, model, report)
     except CliError as exc:
         print(f"error: {exc}", file=err)
         return exc.code

@@ -1,8 +1,18 @@
-"""Independent reference implementations used to check the library.
+"""Reference implementations used to check the library.
 
 Everything here is deliberately written the slow, obvious way (textbook
-recursion over Python lists, no bit tricks) so it shares no code path with
-the package under test.
+recursion over Python lists, scans over every candidate), and membership is
+decided by the Fraction loops here (``fraction_in_core``), never by the
+library's ``in_core``. Some code paths are still shared with the package
+under test, so a bug in one of them can pass both sides:
+
+- entropies, read through ``model.entropy``, ``model.entropy_table`` and
+  the game's ``char_value`` and ``dual_value``;
+- subset and bit walks, through ``subsets`` and ``bits``;
+- greedy marginals and the Jain index, through ``greedy_marginals`` and
+  ``jain_index``;
+- the Dilworth truncation, read from ``trunc.values`` by the Shapley and
+  greedy-vertex oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ from omnirate import (
     bits,
     format_rational,
     greedy_marginals,
-    in_core,
     jain_index,
     subsets,
 )
@@ -206,10 +215,10 @@ def compositions(total: int, parts: int):
 
 def brute_integer_core(game) -> list[tuple[int, ...]]:
     """All integer core points: scan every vector summing to alpha, no per-user
-    upper bounds, and keep the ones passing the core test."""
+    upper bounds, and keep the ones passing ``fraction_in_core``."""
     out = []
     for vec in compositions(int(game.alpha), game.model.n):
-        if in_core(game, RateVector.of(vec), integer_mode=True):
+        if fraction_in_core(game, RateVector.of(vec), integer_mode=True):
             out.append(vec)
     return out
 
@@ -300,7 +309,7 @@ def cores_equal(
             seen.add(rates)
             vertices_checked += 1
             vertex = RateVector(rates)
-            if not in_core(game, vertex):
+            if not fraction_in_core(game, vertex):
                 vertex_failures.append(vertex)
     return CoreComparison(
         True, not mismatches, tuple(mismatches), vertices_checked, tuple(vertex_failures)

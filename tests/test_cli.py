@@ -787,6 +787,20 @@ def test_console_module_entry(example1_path):
     assert json.loads(proc.stdout)["results"]["r_co"]["rational"] == "7/2"
 
 
+def test_console_script_entry_resolves_to_main():
+    import importlib
+
+    # pyproject is read as text: tomllib is not in Python 3.10
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n[project.scripts]\n") :].split("\n\n")[0]
+    (target,) = re.findall(r'^omnirate = "([\w.]+):(\w+)"$', section, re.M)
+    module, name = target
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry) and entry is omnirate.cli.main
+
+
 def test_csv_output(example1_path):
     code, _, text, _ = cli(
         "allocate", example1_path, "--alpha", "4", "--method", "enumerate", "--format", "csv"

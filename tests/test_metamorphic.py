@@ -11,23 +11,32 @@ triples with the same partition, and at 3 * alpha the dual triples: the
 core keeps its answer and its certificate, and the partition minimum
 triples.
 
+The same shift and scaling on fractional entropy tables: add w to H(X) for
+every X that holds user i, or multiply the table by k. The shift also moves
+the greedy vertex of a join order at alpha + w by w in user i's rate.
+
 Relabelling: list the users in reverse. R_CO does not depend on the order,
 and the Shapley value is symmetric, so it comes out reversed.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from omnirate import (
+    EntropyTable,
     Game,
     PacketModel,
     core_nonempty,
     dilworth_truncate,
+    greedy_vertex,
     min_sum_rate_asymptotic,
     shapley,
 )
+
+from oracles import random_entropy_table
 
 
 def seeded_packets(n: int) -> dict[str, list[str]]:
@@ -87,3 +96,55 @@ def test_reversed_users_keep_the_minimum_sum_rate_and_reverse_shapley(n):
     forward = shapley(dilworth_truncate(Game(model, alpha))).rates
     backward = shapley(dilworth_truncate(Game(reversed_model, alpha))).rates
     assert tuple(backward) == tuple(reversed(forward))
+
+
+# R_CO of random_entropy_table(random.Random(n), n, 24): fractional, so
+# alpha = R_CO - 1/7 and R_CO sit on either side of the threshold.
+TABLE_R_CO = {10: Fraction(403, 12), 11: Fraction(211, 6), 12: Fraction(275, 6)}
+
+
+def seeded_table(n: int) -> tuple[EntropyTable, list[int], int]:
+    model = random_entropy_table(random.Random(n), n, 24)
+    h, den = model.entropy_table
+    return model, h, den
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_R_CO))
+def test_a_private_weight_shifts_a_table_and_its_greedy_vertex(n):
+    model, h, den = seeded_table(n)
+    i, w = n % 3, Fraction(1, 3)
+    shifted = EntropyTable(
+        model.users, {x: Fraction(h[x], den) + (w if x >> i & 1 else 0) for x in range(1 << n)}
+    )
+    base, moved = min_sum_rate_asymptotic(model), min_sum_rate_asymptotic(shifted)
+    assert base.r_co == TABLE_R_CO[n]
+    assert moved.r_co == base.r_co + w
+    assert moved.argmax_partition == base.argmax_partition
+    answers = []
+    for alpha in (base.r_co - Fraction(1, 7), base.r_co):
+        before, after = core_nonempty(Game(model, alpha)), core_nonempty(Game(shifted, alpha + w))
+        assert (after.core_nonempty, after.certificate) == (before.core_nonempty, before.certificate)
+        assert after.partition_min == before.partition_min + w
+        answers.append(before.core_nonempty)
+    assert answers == [False, True]
+    order = tuple(reversed(range(n)))
+    vertex = greedy_vertex(dilworth_truncate(Game(model, base.r_co)), order).rates
+    moved_vertex = greedy_vertex(dilworth_truncate(Game(shifted, base.r_co + w)), order).rates
+    assert tuple(moved_vertex) == tuple(r + (w if j == i else 0) for j, r in enumerate(vertex))
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_R_CO))
+def test_a_scaled_table_scales_the_minimum_sum_rate_and_the_core(n):
+    model, h, den = seeded_table(n)
+    k = Fraction(5, 2)
+    scaled = EntropyTable(model.users, {x: k * Fraction(h[x], den) for x in range(1 << n)})
+    base, moved = min_sum_rate_asymptotic(model), min_sum_rate_asymptotic(scaled)
+    assert moved.r_co == k * base.r_co
+    assert moved.argmax_partition == base.argmax_partition
+    answers = []
+    for alpha in (base.r_co - Fraction(1, 7), base.r_co):
+        before, after = core_nonempty(Game(model, alpha)), core_nonempty(Game(scaled, k * alpha))
+        assert (after.core_nonempty, after.certificate) == (before.core_nonempty, before.certificate)
+        assert after.partition_min == k * before.partition_min
+        answers.append(before.core_nonempty)
+    assert answers == [False, True]
