@@ -114,7 +114,7 @@ def _vertex_json(model: SourceModel, alloc: Allocation) -> dict:
     return _allocation_json(alloc.method, order, alloc.rates, alloc.jain)
 
 
-def _load(args, validate: bool = True) -> SourceModel:
+def _load(args, validate: bool) -> SourceModel:
     text = os.environ.get("OMNI_MAX_USERS", str(DEFAULT_MAX_USERS))
     # int() would also take signs, spaces, underscores and non-ASCII digits
     if not (text.isascii() and text.isdigit()):
