@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from operator import sub
+from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .combinatorics import flip, subsets
+from .combinatorics import flip, halves
 from .dilworth import TruncatedDual, dilworth_truncate, greedy_marginals
 from .game import Game, RateVector
 from .models import IntegralityError
@@ -60,23 +60,21 @@ def shapley(trunc: TruncatedDual) -> Allocation:
     Each user's rate is the factorial-weighted sum of marginal contributions
     over all subsets X not containing the user i,
     sum |X|!(n-|X|-1)! * (t(X+i) - t(X)) / n!. The sum runs on the
-    truncation's ints with the weights precomputed by |X|, and each user's
-    rate is one exact division by n! * den: n * 2^(n-1) integer terms in
-    all. Refuses when the core is empty, since the fairness guarantee only
+    truncation's :func:`~omnirate.combinatorics.halves` at bit i, with one
+    weight list for every user (dropping bit i keeps |X|), and each rate is
+    one exact division by n! * den: n * 2^(n-1) integer terms in all.
+    Refuses when the core is empty, since the fairness guarantee only
     exists above the minimum sum-rate.
     """
     _require_nonempty(trunc)
     n = trunc.ground.bit_count()
-    t = trunc.table
     weight = [factorial(k) * factorial(n - k - 1) for k in range(n)]
+    weights = [weight[c.bit_count()] for c in range(1 << (n - 1))]
     total = factorial(n) * trunc.den
     rates = []
     for i in range(n):
-        bit = 1 << i
-        acc = 0
-        for x in subsets(trunc.ground & ~bit):
-            acc += weight[x.bit_count()] * (t[x | bit] - t[x])
-        rates.append(Fraction(acc, total))
+        without, with_i = halves(trunc.table, i)
+        rates.append(Fraction(sum(map(mul, weights, map(sub, with_i, without))), total))
     return Allocation(RateVector(tuple(rates)), "shapley", None, jain_or_none(tuple(rates)))
 
 

@@ -509,7 +509,7 @@ def run(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     except IntegralityError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_INAPPLICABLE
-    except (OverflowError, ValueError) as exc:
+    except OverflowError as exc:
         # a result of valid inputs can pass the int/str digit limit or float range
         print(f"error: a result cannot be printed: {exc}", file=err)
         return EXIT_INPUT

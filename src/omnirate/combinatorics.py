@@ -22,22 +22,16 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def subsets(ground: int, *, nonempty: bool = False, proper: bool = False) -> Iterator[int]:
+def subsets(ground: int, *, nonempty: bool = False) -> Iterator[int]:
     """Enumerate sub-masks of ``ground`` exactly once, ascending.
 
-    ``nonempty`` skips the empty set, ``proper`` skips ``ground`` itself.
-    Steps by ``x = (x - ground) & ground``, the next larger sub-mask.
+    ``nonempty`` skips the empty set. Steps by ``x = (x - ground) & ground``,
+    the next larger sub-mask.
     """
-    if proper:
-        if not ground:
-            return
-        last = ground & (ground - 1)  # the largest proper sub-mask: drop the lowest bit
-    else:
-        last = ground
     x = 0
     if not nonempty:
         yield 0
-    while x != last:
+    while x != ground:
         x = (x - ground) & ground
         yield x
 
@@ -48,6 +42,32 @@ def flip(table: Sequence[int]) -> list[int]:
     V - X, so the flip reads the table backwards."""
     top = table[-1]
     return [top - v for v in reversed(table)]
+
+
+def halves(values: list[int], k: int) -> tuple[list[int], list[int]]:
+    """The entries of ``values`` (indexed by the 2^m masks) whose mask has
+    bit k clear and those with it set: two lists, each indexed by its mask
+    with bit k dropped, so ``off[c]`` and ``on[c]`` sit at X and X+k.
+
+    Blocks of 2^k entries alternate between the two. With no more offsets
+    below 2^k than blocks, the entries at each offset s form one strided
+    slice, written to every 2^k-th place from s; else each block is appended.
+    """
+    low = 1 << k
+    step = low << 1
+    size = len(values)
+    if low * step <= size:  # no more offsets than blocks
+        off = [0] * (size >> 1)
+        on = off[:]
+        for s in range(low):
+            off[s::low] = values[s::step]
+            on[s::low] = values[s + low :: step]
+        return off, on
+    off, on = [], []
+    for s in range(0, size, step):
+        off += values[s : s + low]
+        on += values[s + low : s + step]
+    return off, on
 
 
 @dataclass(frozen=True)

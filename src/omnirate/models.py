@@ -32,12 +32,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import ge, sub
 from typing import Iterable, Mapping, Sequence
 
-from .combinatorics import bits
+from .combinatorics import bits, halves, subsets
 from .rationals import parse_pair, ratio_text, scale_pairs
 
 
@@ -208,17 +208,18 @@ class ValidationReport:
 def validate_polymatroid(model: SourceModel) -> ValidationReport:
     """Check that the model's entropy function is a polymatroid rank function.
 
-    One pass decides and certifies. It makes n*2^(n-1) + n(n-1)/2 * 2^(n-2)
-    integer comparisons on ``model.entropy_table``, each side taken by list
-    slicing in mask order (:func:`_halves`): H(empty) = 0, single-step
+    One fast check decides. It makes n*2^(n-1) + n(n-1)/2 * 2^(n-2)
+    integer comparisons on ``model.entropy_table``, each side split off by
+    :func:`~omnirate.combinatorics.halves`: H(empty) = 0, single-step
     monotonicity H(X+i) >= H(X), and the elementary inequalities
     H(X+i) + H(X+j) >= H(X+i+j) + H(X) for i < j outside X. These imply
     submodularity on every pair (Fujishige, *Submodular Functions and
     Optimization*), so their failures are a complete certificate: the report
-    is empty exactly when the table is a polymatroid. It lists H(empty) != 0,
-    then every failing step (X, X+i) by X and then i, then every failing
-    elementary pair (X+j, X+i) by (X+j, X+i); at most
-    1 + n*2^(n-1) + n(n-1)/2 * 2^(n-2) entries.
+    is empty exactly when the table is a polymatroid. A failing user i or
+    pair i < j then scans the masks X that hold neither user for witnesses.
+    The report lists H(empty) != 0, then every failing step (X, X+i) by X
+    and then i, then every failing elementary pair (X+j, X+i) by (X+j, X+i);
+    at most 1 + n*2^(n-1) + n(n-1)/2 * 2^(n-2) entries.
     """
     h, den = model.entropy_table
     steps: list[tuple[int, int]] = []  # failing (X, X+i)
@@ -228,18 +229,19 @@ def validate_polymatroid(model: SourceModel) -> ValidationReport:
     # elementary inequality for j > i where gain[X] < gain[X+j] (it is
     # symmetric in i and j); bit j of a mask is bit j - 1 of gain's index.
     for i in range(model.n):
-        without, with_i = _halves(h, i)
+        bi = 1 << i
+        without, with_i = halves(h, i)
         gain = list(map(sub, with_i, without))
         if min(gain) < 0:
-            steps += [(x, x | 1 << i) for x in (_widen(c, i) for c, g in enumerate(gain) if g < 0)]
+            steps += [(x, x | bi) for x in subsets(model.full_mask ^ bi) if h[x | bi] < h[x]]
         for j in range(i + 1, model.n):
-            without, with_j = _halves(gain, j - 1)
-            if not all(map(ge, without, with_j)):
-                # the halves may be iterators that all() has consumed
-                for d, (a, b) in enumerate(zip(*_halves(gain, j - 1))):
-                    if a < b:
-                        x = _widen(_widen(d, j - 1), i)
-                        pairs.append((x | 1 << j, x | 1 << i))
+            if not all(map(ge, *halves(gain, j - 1))):
+                bj = 1 << j
+                pairs += [
+                    (x | bj, x | bi)
+                    for x in subsets(model.full_mask ^ bi ^ bj)
+                    if h[x | bi] + h[x | bj] < h[x | bi | bj] + h[x]
+                ]
 
     def name(mask: int) -> str:
         return "{" + ",".join(model.ids_from_mask(mask)) + "}"
@@ -261,37 +263,6 @@ def validate_polymatroid(model: SourceModel) -> ValidationReport:
         for x, y in sorted(pairs)
     ]
     return ValidationReport(tuple(out))
-
-
-def _widen(x: int, k: int) -> int:
-    """The mask at index x of a half that :func:`_halves` took at bit k:
-    x with a clear bit k put back."""
-    low = (1 << k) - 1
-    return (x & ~low) << 1 | (x & low)
-
-
-def _halves(values: list[int], k: int) -> tuple[Iterable[int], Iterable[int]]:
-    """The entries of ``values`` (indexed by 2^m masks) whose index has bit k
-    clear and those with it set, each indexed by its mask with bit k dropped.
-
-    Blocks of 2^k entries alternate between the two. With few blocks they
-    are sliced as blocks; with few offsets below 2^k, the entries at each
-    offset s form one strided slice, written to every 2^k-th place from s.
-    """
-    low = 1 << k
-    step = low << 1
-    size = len(values)
-    if low * step <= size:  # no more offsets than blocks
-        off = [0] * (size >> 1)
-        on = off[:]
-        for s in range(low):
-            off[s::low] = values[s::step]
-            on[s::low] = values[s + low :: step]
-        return off, on
-    starts = range(0, size, step)
-    off = chain.from_iterable(values[s : s + low] for s in starts)
-    on = chain.from_iterable(values[s + low : s + step] for s in starts)
-    return off, on
 
 
 def model_from_dict(obj: object) -> SourceModel:

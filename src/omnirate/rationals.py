@@ -88,15 +88,24 @@ def _check_digits(text: str) -> None:
 
 def format_rational(x: Fraction | int) -> str:
     """Lowest-terms "p/q" string ("4" when the denominator is 1). An int is
-    printed as it is, with no Fraction built."""
-    return str(x) if type(x) in (Fraction, int) else str(Fraction(x))
+    printed as it is, with no Fraction built. OverflowError past the int/str
+    digit limit, as ``float()`` raises past the float range."""
+    if type(x) not in (Fraction, int):
+        x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # str() of an int refuses only past the digit limit
+        raise OverflowError(str(exc)) from exc
 
 
 def ratio_text(num: int, den: int) -> str:
     """``format_rational(Fraction(num, den))`` for ints with ``den > 0``,
-    with no Fraction built."""
+    with no Fraction built; OverflowError past the digit limit, too."""
     g = gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError as exc:
+        raise OverflowError(str(exc)) from exc
 
 
 def scale_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:

@@ -391,7 +391,7 @@ def fraction_check_coalitions(
             full,
             f"r(V)={format_rational(sums[full])} != alpha={format_rational(alpha)}",
         )
-    for x in subsets(full, nonempty=True, proper=True):
+    for x in scatter_subsets(full, nonempty=True, proper=True):
         b = bound(x)
         if sums[x] > b if upper else sums[x] < b:
             return Decision(
@@ -457,7 +457,7 @@ def fraction_scan_violations(model) -> ValidationReport:
         out.append(
             Violation("normalization", (0,), f"H(empty)={format_rational(h[0])}, expected 0")
         )
-    for x in subsets(model.full_mask, proper=True):
+    for x in scatter_subsets(model.full_mask, proper=True):
         for i in bits(model.full_mask & ~x):
             y = x | (1 << i)
             if h[y] < h[x]:

@@ -149,14 +149,21 @@ def test_shapley_is_average_of_greedy_vertices():
 
 def test_shapley_matches_fraction_formula():
     # the integer sum against the per-term Fraction formula, on packet and
-    # fractional truncations, at R_CO (where ties are widest) and above it
+    # fractional truncations, at R_CO (where ties are widest) and above it;
+    # the seeded 8- and 9-user tables split at bits on both sides of the
+    # switch between halves' two ways of slicing
     rng = random.Random(107)
-    for n in range(2, 8):
-        for model in (random_packet_model(rng, n_users=n), random_entropy_table(rng, n)):
-            r_co = min_sum_rate_asymptotic(model).r_co
-            for alpha in (r_co, r_co + F(1, 3), r_co + 2):
-                trunc = dilworth_truncate(Game(model, alpha))
-                assert tuple(shapley(trunc).rates) == brute_shapley(trunc)
+    models = [
+        model
+        for n in range(2, 8)
+        for model in (random_packet_model(rng, n_users=n), random_entropy_table(rng, n))
+    ]
+    models += [random_entropy_table(random.Random(n), n, 24) for n in (8, 9)]
+    for model in models:
+        r_co = min_sum_rate_asymptotic(model).r_co
+        for alpha in (r_co, r_co + F(1, 3), r_co + 2):
+            trunc = dilworth_truncate(Game(model, alpha))
+            assert tuple(shapley(trunc).rates) == brute_shapley(trunc)
 
 
 def test_greedy_vertices_match_the_fraction_walk():

@@ -904,7 +904,8 @@ def test_cli_option_set_is_pinned_and_documented():
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()
     section = text[text.index("\n## CLI\n") : text.index("\n## Library\n")]
-    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    # --help is argparse's own, dropped on both sides
+    named = set(re.findall(r"--[a-z][a-z-]*", section)) - {"--help"}
     assert named == {o for opts in CLI_OPTIONS.values() for o in opts}
 
 
@@ -1007,6 +1008,17 @@ def test_results_that_cannot_be_printed_exit_one(tmp_path):
         code, report, text, err = cli(*argv)
         assert (code, report, text) == (1, None, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_a_library_value_error_is_not_taken_for_an_unprintable_result(example1_path, monkeypatch):
+    # only OverflowError means "cannot be printed"; any other ValueError out
+    # of a command is a bug, and it surfaces as one
+    def broken(args, model, out):
+        raise ValueError("not a printing error")
+
+    monkeypatch.setitem(omnirate.cli.COMMANDS, "minrate", broken)
+    with pytest.raises(ValueError, match="not a printing error"):
+        cli("minrate", example1_path)
 
 
 def _entries_2(a, b):

@@ -13,7 +13,8 @@ triples.
 
 The same shift and scaling on fractional entropy tables: add w to H(X) for
 every X that holds user i, or multiply the table by k. The shift also moves
-the greedy vertex of a join order at alpha + w by w in user i's rate.
+the greedy vertex of a join order and the Shapley value at alpha + w by w
+in user i's rate, and the scaling scales the Shapley value at k * alpha.
 
 Relabelling: list the users in reverse. R_CO does not depend on the order,
 and the Shapley value is symmetric, so it comes out reversed.
@@ -128,9 +129,12 @@ def test_a_private_weight_shifts_a_table_and_its_greedy_vertex(n):
         answers.append(before.core_nonempty)
     assert answers == [False, True]
     order = tuple(reversed(range(n)))
-    vertex = greedy_vertex(dilworth_truncate(Game(model, base.r_co)), order).rates
-    moved_vertex = greedy_vertex(dilworth_truncate(Game(shifted, base.r_co + w)), order).rates
+    trunc = dilworth_truncate(Game(model, base.r_co))
+    moved_trunc = dilworth_truncate(Game(shifted, base.r_co + w))
+    vertex, moved_vertex = greedy_vertex(trunc, order).rates, greedy_vertex(moved_trunc, order).rates
     assert tuple(moved_vertex) == tuple(r + (w if j == i else 0) for j, r in enumerate(vertex))
+    fair, moved_fair = shapley(trunc).rates, shapley(moved_trunc).rates
+    assert tuple(moved_fair) == tuple(r + (w if j == i else 0) for j, r in enumerate(fair))
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_R_CO))
@@ -148,3 +152,6 @@ def test_a_scaled_table_scales_the_minimum_sum_rate_and_the_core(n):
         assert after.partition_min == k * before.partition_min
         answers.append(before.core_nonempty)
     assert answers == [False, True]
+    fair = shapley(dilworth_truncate(Game(model, base.r_co))).rates
+    scaled_fair = shapley(dilworth_truncate(Game(scaled, k * base.r_co))).rates
+    assert tuple(scaled_fair) == tuple(k * r for r in fair)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omnirate import models, rationals
+from omnirate import rationals
 from omnirate import (
     EntropyTable,
     InvalidModelError,
@@ -20,6 +20,7 @@ from omnirate import (
     subsets,
     validate_polymatroid,
 )
+from omnirate.combinatorics import halves
 
 from oracles import (
     canonical_digest,
@@ -214,8 +215,8 @@ def test_elementary_check_agrees_with_full_scan_up_to_8_users(model):
 
 
 def test_halves_are_in_mask_order():
-    # both ways of slicing give each half indexed by its mask with bit k
-    # dropped, so a bit's place never depends on which way was taken
+    # both ways of slicing give each half as a list indexed by its mask with
+    # bit k dropped, so a bit's place never depends on which way was taken
     for m in range(1, 9):
         values = list(range(100, 100 + (1 << m)))
         for k in range(m):
@@ -224,21 +225,9 @@ def test_halves_are_in_mask_order():
                 [values[(x & ~low) << 1 | bit << k | (x & low)] for x in range(1 << (m - 1))]
                 for bit in (0, 1)
             ]
-            assert [list(half) for half in models._halves(values, k)] == expected, (m, k)
-
-
-def test_widen_puts_back_the_bit_halves_dropped():
-    # _widen(x, k) is the mask at index x of either half at bit k, without
-    # bit k; dropping bit k again gives x back
-    for m in range(1, 9):
-        values = list(range(1 << m))
-        for k in range(m):
-            off, on = map(list, models._halves(values, k))
-            for x in range(1 << (m - 1)):
-                mask = models._widen(x, k)
-                assert not mask >> k & 1
-                assert (off[x], on[x]) == (mask, mask | 1 << k), (m, k, x)
-                assert mask >> (k + 1) << k | (mask & ((1 << k) - 1)) == x
+            off, on = halves(values, k)
+            assert type(off) is list and type(on) is list, (m, k)
+            assert [off, on] == expected, (m, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -264,6 +253,28 @@ def test_scan_matches_the_fraction_scan_on_every_kind():
     model = EntropyTable(["1", "2", "3"], dict(enumerate(h)))
     report = validate_polymatroid(model)
     assert {v.kind for v in report.violations} == {"normalization", "monotonicity", "submodularity"}
+    assert report == elementary_violations(model)
+    # a fractional 10-user table with three entries moved. Steps fail for
+    # user indices 2, 7 and 8, and pairs for (0, 2) up to (7, 8), so both
+    # sides of halves' switch list failures: strided slices up to bit 4,
+    # blocks above it. The Fraction scan takes 1-2 s at 10 users.
+    base = random_entropy_table(random.Random(10), 10, 24)
+    h, den = base.entropy_table
+    values = {x: Fraction(v, den) for x, v in enumerate(h)}
+    values[0b0000001110] -= Fraction(1, 3)
+    values[0b0101000000] -= Fraction(1, 3)
+    values[0b1000100001] += Fraction(1, 2)
+    model = EntropyTable(base.users, values)
+    report = validate_polymatroid(model)
+    steps = [v.sets for v in report.violations if v.kind == "monotonicity"]
+    assert {(y ^ x).bit_length() - 1 for x, y in steps} == {2, 7, 8}
+    pairs = {
+        tuple(sorted(((a & ~b).bit_length() - 1, (b & ~a).bit_length() - 1)))
+        for v in report.violations
+        if v.kind == "submodularity"
+        for a, b in [v.sets]
+    }
+    assert {(0, 2), (2, 9), (7, 8)} <= pairs
     assert report == elementary_violations(model)
 
 

@@ -96,3 +96,23 @@ def test_pair_parser_at_the_smallest_digit_limit():
         assert outcome(parse_pair, "1" * 640)[0] == "error"
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_text_past_the_digit_limit_is_an_overflow():
+    # a number too large to print raises OverflowError, as float() of it
+    # does, so one exception type means "cannot be printed"
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        big = 10**640
+        for text in (
+            lambda: rationals.ratio_text(big, 1),
+            lambda: rationals.ratio_text(1, big + 1),
+            lambda: rationals.format_rational(big),
+            lambda: rationals.format_rational(Fraction(1, big + 1)),
+        ):
+            with pytest.raises(OverflowError, match="limit"):
+                text()
+        assert rationals.ratio_text(big // 10, 3) == "1" + "0" * 639 + "/3"
+    finally:
+        sys.set_int_max_str_digits(before)
